@@ -4,7 +4,7 @@ training job that produces the served bundle timed in every run.
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload hot_cascade --seed 1 --seconds 8 --trace 0
+    python3 perfbench/run.py --workload hot_cascade --seed 1 --seconds 16 --trace 0
     python3 perfbench/run.py --self-test
 
 The last line of standard output is one JSON object with the keys
@@ -35,11 +35,11 @@ ROOT = BENCH_DIR.parent
 WORLD_ARGS = ["--scale", "0.1", "--users", "6000"]
 
 # Fixed rates, set from the capacity measured on the commit that defined
-# the benchmark (4-core Xeon, see README.md): nominal at about half of
+# the benchmark (4-core Xeon, see README.md): nominal at about a third of
 # capacity, overload at about 1.5x.
 WORKLOADS = {
-    "hot_cascade": {"nominal_qps": 7500.0, "overload_qps": 22000.0},
-    "long_tail": {"nominal_qps": 1150.0, "overload_qps": 3500.0},
+    "hot_cascade": {"nominal_qps": 5000.0, "overload_qps": 22000.0},
+    "long_tail": {"nominal_qps": 750.0, "overload_qps": 3500.0},
 }
 
 SLO_P99_MS = 20.0
@@ -48,61 +48,67 @@ SLO_P99_MS = 20.0
 # measured.
 SEND_LAG_SHARE = 1.0
 SETUP_REPEATS = 3
+# A nominal quantile that is itself a miss (JSON null) reads as the
+# client's response timeout.
 RESPONSE_TIMEOUT_MS = 3000.0
 CLI_METRICS = re.compile(
     r"macro-F1 ([0-9.]+)\s+ACC ([0-9.]+)\s+AUC ([0-9.]+)\s+"
     r"MAP@20 ([0-9.]+)\s+HITS@20 ([0-9.]+)")
 TARGETS = ["retina_cli", "retina_serve_bin", "perfbench_client"]
 
-# Per-layer metric -> (unit, the end-to-end metric it should move, on
-# which workloads). The traced-run report prints this beside each value.
+# Per-layer metric -> (the end-to-end metric it should move, on which
+# workloads). Names and units come from BENCHMARK.json; the self-test
+# checks that README.md's tables agree with both.
 LAYERS = {
-    "serve.codec_us": ("us", "p50_ms", "hot_cascade"),
-    "serve.handle_us": ("us", "slo_qps, sat_ok_qps", "both"),
-    "serve.wire_queue_ms": ("ms", "p50_ms, p99_ms", "hot_cascade"),
-    "serve.coalesce_avg_batch": ("requests", "sat_ok_qps, slo_qps",
-                                 "hot_cascade (flat on long_tail)"),
-    "serve.coalesced_frac": ("frac", "sat_ok_qps, slo_qps",
-                             "hot_cascade (flat on long_tail)"),
-    "serve.shed_frac": ("frac", "sat_ok_qps", "both"),
-    "serve.queue_depth_peak": ("requests", "p99_ms", "both"),
-    "core.score_warm_us": ("us", "p50_ms", "hot_cascade"),
-    "core.score_cold_us": ("us", "p50_ms", "long_tail"),
-    "core.tweet_cache_hit_frac": ("frac", "p50_ms, slo_qps", "long_tail"),
-    "core.user_cache_hit_frac": ("frac", "p50_ms, slo_qps", "long_tail"),
-    "core.user_block_us": ("us", "p50_ms, slo_qps", "long_tail"),
-    "core.news_window_us": ("us", "p50_ms, slo_qps", "long_tail"),
-    "core.engine_self_us": ("us", "p50_ms, slo_qps", "long_tail"),
-    "core.assemble_us": ("us", "p50_ms, slo_qps", "both"),
-    "core.restore_s": ("s", "cold_start_s", "both"),
-    "core.model_load_s": ("s", "cold_start_s", "both"),
-    "core.features_build_s": ("s", "train_s", "both"),
-    "core.task_build_s": ("s", "train_s", "both"),
-    "core.fit_s": ("s", "train_s", "both"),
-    "core.eval_s": ("s", "train_s", "both"),
-    "text.tfidf_us": ("us", "p50_ms, slo_qps", "long_tail"),
-    "text.doc2vec_us": ("us", "p50_ms (long_tail), cold_start_s", "both"),
-    "graph.bfs_us": ("us", "p50_ms, slo_qps", "long_tail"),
-    "graph.bfs_reached": ("count", "p50_ms, slo_qps", "long_tail"),
-    "datagen.trending_us": ("us", "p50_ms, slo_qps", "long_tail"),
-    "datagen.import_s": ("s", "cold_start_s", "both"),
-    "datagen.generate_s": ("s", "setup_s", "both"),
-    "io.ckpt_read_s": ("s", "cold_start_s", "both"),
-    "io.bundle_save_s": ("s", "train_s", "both"),
-    "nn.forward_us_per_row": ("us", "sat_ok_qps (hot_cascade), train_s",
-                              "both"),
-    "nn.rows_per_forward": ("rows", "sat_ok_qps, slo_qps", "hot_cascade"),
-    "harness.send_lag_p99_ms": ("ms", "(validity of every latency)", "both"),
-    "harness.trace_overhead_frac": ("frac", "(cost of the traced replay)",
-                                    "both"),
+    "serve.codec_us": ("p50_ms", "hot_cascade"),
+    "serve.handle_us": ("slo_qps, sat_ok_qps", "both"),
+    "serve.wire_queue_ms": ("p50_ms, p99_ms", "hot_cascade"),
+    "serve.coalesce_avg_batch": ("sat_ok_qps, slo_qps",
+                                 "hot_cascade; flat on long_tail"),
+    "serve.coalesced_frac": ("sat_ok_qps, slo_qps",
+                             "hot_cascade; flat on long_tail"),
+    "serve.shed_frac": ("sat_ok_qps", "both"),
+    "serve.queue_depth_peak": ("p99_ms", "both"),
+    "core.score_warm_us": ("p50_ms", "hot_cascade"),
+    "core.score_cold_us": ("p50_ms", "long_tail"),
+    "core.tweet_cache_hit_frac": ("p50_ms, slo_qps", "long_tail"),
+    "core.user_cache_hit_frac": ("p50_ms, slo_qps", "long_tail"),
+    "core.user_block_us": ("p50_ms, slo_qps", "long_tail"),
+    "core.news_window_us": ("p50_ms, slo_qps", "long_tail"),
+    "core.engine_self_us": ("p50_ms, slo_qps", "long_tail"),
+    "core.assemble_us": ("p50_ms, slo_qps", "both"),
+    "core.restore_s": ("cold_start_s", "both"),
+    "core.model_load_s": ("cold_start_s", "both"),
+    "core.features_build_s": ("train_s", "both"),
+    "core.task_build_s": ("train_s", "both"),
+    "core.fit_s": ("train_s", "both"),
+    "core.eval_s": ("train_s", "both"),
+    "text.tfidf_us": ("p50_ms, slo_qps", "long_tail"),
+    "text.doc2vec_us": ("p50_ms (long_tail), cold_start_s", "both"),
+    "graph.bfs_us": ("p50_ms, slo_qps", "long_tail"),
+    "graph.bfs_reached": ("p50_ms, slo_qps", "long_tail"),
+    "datagen.trending_us": ("p50_ms, slo_qps", "long_tail"),
+    "datagen.import_s": ("cold_start_s", "both"),
+    "datagen.generate_s": ("setup_s", "both"),
+    "io.ckpt_read_s": ("cold_start_s", "both"),
+    "io.bundle_save_s": ("train_s", "both"),
+    "nn.forward_us_per_row": ("sat_ok_qps (hot_cascade), train_s", "both"),
+    "nn.rows_per_forward": ("sat_ok_qps, slo_qps", "hot_cascade"),
+    "harness.send_lag_p99_ms": ("validity of every latency", "both"),
+    "harness.trace_overhead_frac": ("cost of tracing", "both"),
 }
 
-END_TO_END_UNITS = {
-    "setup_s": "s", "cold_start_s": "s", "serve_rss_mb": "MB",
-    "p50_ms": "ms", "p99_ms": "ms", "slo_qps": "1/s", "sat_ok_qps": "1/s",
-    "fail_frac": "frac", "train_s": "s", "train_rss_mb": "MB",
-    "macro_f1": "score",
-}
+
+def load_spec():
+    """BENCHMARK.json's metric dictionary: {"end_to_end": {name: metric},
+    "per_layer": {name: metric}}."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    out = {kind: {m["name"]: m for m in spec[kind]}
+           for kind in ("end_to_end", "per_layer")}
+    if set(out["per_layer"]) != set(LAYERS):
+        raise BenchError("run.py's LAYERS and BENCHMARK.json's per_layer "
+                         "name different metrics")
+    return out
 
 
 class BenchError(Exception):
@@ -287,7 +293,8 @@ def ensure_cache(bins, cache, rdir, world, world_digest, tr):
 def serve(bins, cache, rdir, workload, seed, seconds, world, bundle):
     rates = WORKLOADS[workload]
     out = rdir / "serve.json"
-    run([str(bins["client"]), "serve", "--workload", workload,
+    wall, _ = run(
+        [str(bins["client"]), "serve", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--nominal-qps", str(rates["nominal_qps"]),
          "--overload-qps", str(rates["overload_qps"]),
@@ -297,7 +304,7 @@ def serve(bins, cache, rdir, workload, seed, seconds, world, bundle):
          "--serve-bin", str(bins["retina_serve"]), "--socket", "s.sock",
          "--daemon-log", "daemon.log", "--out", out.name],
         rdir, 175, rdir / "serve.log")
-    return json.loads(out.read_text())
+    return dict(json.loads(out.read_text()), wall_s=wall)
 
 
 def trace(bins, cache, rdir, workload, seed, seconds):
@@ -351,10 +358,12 @@ def run_record(args, bdir, rdir, serve_result, world_info):
     }
 
 
+def latency_ms(v):
+    return RESPONSE_TIMEOUT_MS if v is None else v
+
+
 def end_to_end(setup_s, tr, sv):
     nominal = sv["nominal"]
-    p99 = nominal["p99_ms"] if nominal["p99_ms"] is not None \
-        else RESPONSE_TIMEOUT_MS
     nominal_misses = (nominal["shed"] + nominal["error"] + nominal["timeout"]
                       + nominal["mismatch"])
     failed = nominal_misses + (0 if tr["ok"] else 1)
@@ -366,8 +375,8 @@ def end_to_end(setup_s, tr, sv):
         "setup_s": setup_s,
         "cold_start_s": sv["cold_start_s"],
         "serve_rss_mb": sv["serve_rss_mb"],
-        "p50_ms": nominal["p50_ms"],
-        "p99_ms": p99,
+        "p50_ms": latency_ms(nominal["p50_ms"]),
+        "p99_ms": latency_ms(nominal["p99_ms"]),
         "slo_qps": sv["ladder"]["slo_qps"],
         "sat_ok_qps": sv["overload"]["ok_per_s"],
         "fail_frac": fail_frac,
@@ -397,7 +406,7 @@ def per_layer(sv, tc):
     m = {
         "serve.codec_us": codec,
         "serve.handle_us": handle,
-        "serve.wire_queue_ms": sv["nominal"]["p50_ms"]
+        "serve.wire_queue_ms": latency_ms(sv["nominal"]["p50_ms"])
         - (codec + handle) / 1e3,
         "serve.coalesce_avg_batch": batched / batches if batches else 1.0,
         "serve.coalesced_frac": batched / responses if responses else 0.0,
@@ -435,16 +444,16 @@ def per_layer(sv, tc):
     return m
 
 
-def report(workload, sv, tc, layer_metrics):
+def report(workload, sv, tc, layer_metrics, spec):
     """The traced-run table: each layer metric beside the end-to-end metric
     it is predicted to move, then the reconciliation residual."""
     lines = [f"## Traced run: {workload}", "",
              "| layer metric | value | unit | predicted to move | on |",
              "|---|---|---|---|---|"]
-    for name, (unit, moves, on) in LAYERS.items():
-        lines.append(f"| {name} | {layer_metrics[name]:.6g} | {unit} | "
-                     f"{moves} | {on} |")
-    client_p50 = sv["nominal"]["p50_ms"]
+    for name, (moves, on) in LAYERS.items():
+        lines.append(f"| {name} | {layer_metrics[name]:.6g} | "
+                     f"{spec['per_layer'][name]['unit']} | {moves} | {on} |")
+    client_p50 = latency_ms(sv["nominal"]["p50_ms"])
     codec = layer_metrics["serve.codec_us"] / 1e3
     handle = layer_metrics["serve.handle_us"] / 1e3
     residual = layer_metrics["serve.wire_queue_ms"]
@@ -464,25 +473,97 @@ def report(workload, sv, tc, layer_metrics):
         f"(spanned {tc['replay_spanned_s']:.3f} s vs bare "
         f"{tc['replay_bare_s']:.3f} s over {tc['replayed_requests']} "
         "requests)",
+        "- cold-path layers (core.score_cold_us, core.engine_self_us, "
+        "core.user_block_us, text.*, graph.*, datagen.trending_us): " +
+        ("nominal requests that missed a cache" if tc["cold_from_nominal"]
+         else "no nominal request missed a cache, so they are timed on "
+         "nominal requests scored by a fresh engine with empty caches"),
         f"- sample counts: " + ", ".join(
             f"{k} n={v['n']}" for k, v in tc["layers"].items()),
     ]
     return "\n".join(lines) + "\n"
 
 
+def check_readme(spec):
+    """README.md's metric tables must give each metric of BENCHMARK.json
+    with its unit (and, end to end, its direction), and each layer metric
+    with LAYERS' prediction. Returns the disagreements."""
+    rows = {}
+    for line in (BENCH_DIR / "README.md").read_text().splitlines():
+        cells = [c.strip().replace("`", "") for c in line.strip("| ")
+                 .split(" | ")]
+        if line.startswith("| `") and len(cells) >= 4:
+            rows[cells[0]] = cells
+    problems = []
+    for name, m in spec["end_to_end"].items():
+        if rows.get(name, [None] * 3)[1:3] != [m["unit"], m["better"]]:
+            problems.append(f"README.md: end-to-end row of {name}")
+    for name, m in spec["per_layer"].items():
+        cells = rows.get(name, [None] * 5)
+        if [cells[1], cells[3], cells[4]] != [m["unit"], *LAYERS[name]]:
+            problems.append(f"README.md: layer row of {name}")
+    return problems
+
+
+def check_metrics_of_failed_phase():
+    """A nominal phase whose quantiles are misses (null) still yields every
+    metric: the latency reads as the response timeout. Returns problems."""
+    counts = {"serve.coalesce.batches": 0,
+              "serve.coalesce.batched_requests": 0,
+              "serve.responses": 10, "serve.shed": 990}
+    sv = {"workload": "long_tail", "cold_start_s": 9.0, "serve_rss_mb": 250,
+          "nominal": {"sent": 1000, "shed": 0, "error": 0, "timeout": 990,
+                      "mismatch": 0, "p50_ms": None, "p99_ms": None,
+                      "send_lag_p99_ms": 0.5},
+          "ladder": {"slo_qps": 0.0}, "overload": {"ok_per_s": 4.0},
+          "kmetrics": {"overload": counts,
+                       "queue_depth_peak_after_nominal": 1024}}
+    tr = {"ok": True, "train_s": 20.0, "train_rss_mb": 500.0,
+          "cli_metrics": [0.76]}
+    layer_names = ["serve.codec_us", "serve.handle_us", "score_nominal_us",
+                   "core.score_warm_us", "core.score_cold_us",
+                   "core.user_block_us", "core.news_window_us",
+                   "core.engine_self_us", "core.assemble_us",
+                   "text.tfidf_us", "text.doc2vec_us", "graph.bfs_us",
+                   "graph.bfs_reached", "datagen.trending_us",
+                   "nn.forward_us_per_row"]
+    tc = {"layers": {k: {"p50": 5.0, "n": 3} for k in layer_names},
+          "pipeline_s": {k: 1.0 for k in (
+              "core.restore", "core.model_load", "core.features_build",
+              "core.task_build", "core.fit", "core.eval", "load.import",
+              "datagen.generate", "io.ckpt_read", "io.bundle_save")},
+          "core.tweet_cache_hit_frac": 0.1, "core.user_cache_hit_frac": 0.6,
+          "harness.trace_overhead_frac": 0.01, "replay_spanned_s": 1.0,
+          "replay_bare_s": 0.99, "replayed_requests": 3,
+          "cold_from_nominal": True}
+    problems = []
+    metrics, attempted, failed = end_to_end(1.0, tr, sv)
+    if metrics["p50_ms"] != RESPONSE_TIMEOUT_MS or \
+            metrics["p99_ms"] != RESPONSE_TIMEOUT_MS or failed != 990:
+        problems.append(f"end_to_end of a failed phase: {metrics}")
+    layers = per_layer(sv, tc)
+    report("long_tail", sv, tc, layers, load_spec())
+    if set(layers) != set(LAYERS):
+        problems.append("per_layer does not give every layer metric")
+    return problems
+
+
 def self_test(bdir):
+    problems = check_readme(load_spec()) + check_metrics_of_failed_phase()
+    for p in problems:
+        log(f"self-test: {p}")
     build(bdir)
     run(["cmake", "--build", str(bdir), "-j4", "--target",
          "perfbench_stats_test"], ROOT, 600)
     res = subprocess.run([str(bdir / "perfbench_stats_test")])
-    return res.returncode
+    return res.returncode or (1 if problems else 0)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=8.0)
+    ap.add_argument("--seconds", type=float, default=16.0)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--self-test", action="store_true",
                     help="build and run the statistics self-tests")
@@ -493,6 +574,7 @@ def main():
     if args.workload is None:
         ap.error("--workload is required")
 
+    spec = load_spec()
     bins = build(bdir)
     cache = cache_dir(bdir, bins)
     runs = bdir / "perfbench_runs"
@@ -544,13 +626,16 @@ def main():
         record["checked"] = {"responses": check["responses"],
                              "scores": check["scores"]}
         record["nominal"] = {k: sv["nominal"][k] for k in
-                             ("sent", "windows", "p50_ms", "p99_ms",
+                             ("sent", "p50_ms", "p99_ms",
                               "p99_reportable", "send_lag_p99_ms")}
+        record["ladder"] = [[round(st["rate"], 1), st["slo_pass"]]
+                            for st in sv["ladder"]["steps"]]
+        record["serve_wall_s"] = sv["wall_s"]
 
         if args.trace == 0:
             metrics, attempted, failed = end_to_end(setup_s, tr, sv)
             record["train_cli_line"] = tr["line"]
-            units = END_TO_END_UNITS
+            kind = "end_to_end"
         else:
             tc = trace(bins, cache, rdir, args.workload, args.seed,
                        args.seconds)
@@ -565,8 +650,8 @@ def main():
             attempted = sv["nominal"]["sent"]
             failed = (sv["nominal"]["shed"] + sv["nominal"]["error"]
                       + sv["nominal"]["timeout"] + sv["nominal"]["mismatch"])
-            units = {k: v[0] for k, v in LAYERS.items()}
-            text = report(args.workload, sv, tc, metrics)
+            kind = "per_layer"
+            text = report(args.workload, sv, tc, metrics, spec)
             (runs / f"report-{args.workload}-s{args.seed}.md").write_text(text)
             shutil.copy(rdir / "spans.json",
                         runs / f"spans-{args.workload}-s{args.seed}.json")
@@ -583,7 +668,7 @@ def main():
             "correct": not problems,
             "attempted": int(attempted),
             "failed": int(failed),
-            "metrics": {k: {"value": float(v), "unit": units[k]}
+            "metrics": {k: {"value": float(v), "unit": spec[kind][k]["unit"]}
                         for k, v in metrics.items()},
         }
         print(json.dumps(result), flush=True)

@@ -4,6 +4,7 @@
 #ifndef PERFBENCH_COMMANDS_H_
 #define PERFBENCH_COMMANDS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -66,11 +67,10 @@ inline int Fail(const retina::Status& st) {
   return 1;
 }
 
-/// Nominal-phase length for `seconds` of measurement: 40% of the run, and
+/// Nominal-phase length for `seconds` of measurement: 60% of the run, and
 /// never fewer than ~1200 requests so p99 has ten samples beyond it.
 inline double NominalSeconds(double seconds, double nominal_qps) {
-  return seconds * 0.4 > 1200.0 / nominal_qps ? seconds * 0.4
-                                              : 1200.0 / nominal_qps;
+  return std::max(seconds * 0.6, 1200.0 / nominal_qps);
 }
 
 }  // namespace perfbench

@@ -1,11 +1,11 @@
 // `perfbench_client serve`: spawns retina_serve at its default flags and
 // drives it with an open loop from one process that uses two threads (the
-// sender, which is the main thread, and one receiver) and four Unix-socket
-// connections.
+// main thread and one helper, each sending and receiving on two of the
+// four Unix-socket connections).
 //
 // Phases: daemon spawn to the first OK score (cold start), an untimed
 // closed-loop warm-up plus a short open-loop settle, the nominal phase at
-// a fixed rate, the slo_qps rate ladder, and a fixed overload. Every
+// a fixed rate, a fixed overload, and the slo_qps rate ladder. Every
 // request is timed from its due time; every checkable response is
 // byte-compared against the universe's in-process reference scores.
 
@@ -20,10 +20,7 @@
 #include <time.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
 #include <thread>
 
 #include "commands.h"
@@ -41,9 +38,17 @@ namespace serve = retina::serve;
 namespace {
 
 constexpr size_t kConnections = 4;
-constexpr size_t kWarmupWindow = 8;
+constexpr size_t kWarmupWindow = 4;  // per lane
 constexpr int64_t kResponseTimeoutNs = 3'000'000'000;
 constexpr double kColdStartLimitS = 150.0;
+/// Phase lengths as shares of --seconds. A ladder step is also at least
+/// 1200 requests long (so its p99 has ten samples beyond it) and at most
+/// kLadderStepMaxS, which bounds the run on a very slow commit.
+constexpr double kOverloadShare = 0.15;
+constexpr double kLadderStepShare = 0.04;
+constexpr double kLadderStepMaxS = 4.0;
+/// The ladder starts at this share of the overload phase's OK rate.
+constexpr double kLadderStartShare = 0.8;
 
 /// The daemon process: spawned with its default flags plus the data,
 /// model and socket it needs. Killed (and reaped) on destruction if it
@@ -151,29 +156,23 @@ Result<int> ConnectUnix(const std::string& path) {
   return fd;
 }
 
-void SleepUntil(int64_t due_ns) {
-  struct timespec ts;
-  ts.tv_sec = due_ns / 1'000'000'000;
-  ts.tv_nsec = due_ns % 1'000'000'000;
-  while (::clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &ts, nullptr) ==
-         EINTR) {
-  }
-}
-
-/// Open- and closed-loop request generator over kConnections sockets.
+/// Open- and closed-loop request generator over kConnections sockets,
+/// driven by two symmetric lanes: the calling thread and one helper
+/// thread. Request i goes out on connection i % kConnections, and each
+/// lane sends and receives on its own half of the connections, so no
+/// request waits for a hand-off between a sender and a receiver thread.
 class LoadClient {
  public:
   explicit LoadClient(const Universe& universe) : universe_(universe) {}
   LoadClient(const LoadClient&) = delete;
   LoadClient& operator=(const LoadClient&) = delete;
   ~LoadClient() {
-    stop_.store(true);
-    if (receiver_.joinable()) receiver_.join();
-    for (int fd : fds_) ::close(fd);
+    for (int fd : fds_) {
+      if (fd >= 0) ::close(fd);
+    }
   }
 
-  /// Adopts `first` (the cold-start probe connection), opens the rest, and
-  /// starts the receiver thread.
+  /// Adopts `first` (the cold-start probe connection) and opens the rest.
   Status Start(int first, const std::string& socket) {
     fds_.push_back(first);
     while (fds_.size() < kConnections) {
@@ -181,7 +180,6 @@ class LoadClient {
       if (!fd.ok()) return fd.status();
       fds_.push_back(fd.ValueOrDie());
     }
-    receiver_ = std::thread([this] { ReceiverLoop(); });
     return Status::OK();
   }
 
@@ -191,26 +189,38 @@ class LoadClient {
     return Run(reqs, /*window=*/0);
   }
 
-  /// Sends `reqs` back to back keeping at most `window` in flight.
+  /// Sends `reqs` back to back keeping at most `window` in flight per
+  /// lane.
   std::vector<RequestRecord> RunClosedLoop(const std::vector<Request>& reqs,
                                            size_t window) {
     return Run(reqs, window);
   }
 
+  /// One kMetrics snapshot, asked and read on the first connection while
+  /// no phase runs. Late score responses met on the way are dropped.
   Result<retina::obs::RegistrySnapshot> Metrics() {
-    std::unique_lock<std::mutex> lock(mu_);
-    metrics_ready_ = false;
     serve::MetricsRequest req;
     req.request_id = ++metrics_id_;
-    lock.unlock();
     RETINA_RETURN_NOT_OK(
         serve::WriteFrame(fds_[0], serve::EncodeMetricsRequest(req)));
-    lock.lock();
-    if (!cv_.wait_for(lock, std::chrono::seconds(10),
-                      [this] { return metrics_ready_; })) {
-      return Status::IOError("kMetrics reply timed out");
+    const int64_t deadline = NowNs() + 10'000'000'000;
+    std::string payload;
+    while (NowNs() < deadline) {
+      pollfd p = {fds_[0], POLLIN, 0};
+      if (::poll(&p, 1, 100) <= 0) continue;
+      bool eof = false;
+      RETINA_RETURN_NOT_OK(serve::ReadFrame(fds_[0], &payload, &eof));
+      if (eof) return Status::IOError("daemon closed the connection");
+      auto type = serve::PeekMessageType(payload);
+      if (!type.ok() ||
+          type.ValueOrDie() != serve::MessageType::kMetricsResponse) {
+        continue;
+      }
+      serve::MetricsResponse resp;
+      RETINA_RETURN_NOT_OK(serve::DecodeMetricsResponse(payload, &resp));
+      if (resp.request_id == req.request_id) return std::move(resp.snapshot);
     }
-    return metrics_.snapshot;
+    return Status::IOError("kMetrics reply timed out");
   }
 
   struct Checks {
@@ -219,167 +229,176 @@ class LoadClient {
     size_t mismatched = 0;
     size_t connection_errors = 0;
   };
-  Checks checks() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return {checked_responses_, checked_scores_, mismatched_,
-            connection_errors_};
+  Checks checks() const {
+    Checks c;
+    for (const Checks& l : lane_checks_) {
+      c.responses += l.responses;
+      c.scores += l.scores;
+      c.mismatched += l.mismatched;
+      c.connection_errors += l.connection_errors;
+    }
+    return c;
   }
 
  private:
+  static constexpr size_t kLanes = 2;
+
+  /// One phase as both lanes see it. Each lane writes only the records of
+  /// its own requests.
+  struct Phase {
+    uint64_t id = 0;
+    const std::vector<Request>* reqs = nullptr;
+    const std::vector<std::string>* frames = nullptr;
+    std::vector<RequestRecord>* records = nullptr;
+    int64_t t0 = 0;
+    size_t window = 0;
+  };
+
   std::vector<RequestRecord> Run(const std::vector<Request>& reqs,
                                  size_t window) {
     std::vector<RequestRecord> records(reqs.size());
     std::vector<std::string> frames;
     frames.reserve(reqs.size());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++phase_;
-      records_ = &records;
-      reqs_ = &reqs;
-      answered_ = 0;
-    }
+    const uint64_t id = ++phase_;
     for (size_t i = 0; i < reqs.size(); ++i) {
       serve::ScoreRequest req;
-      req.request_id = (phase_ << 32) | i;
+      req.request_id = (id << 32) | i;
       req.tweet_id = reqs[i].tweet;
       req.users = reqs[i].users;
       frames.push_back(serve::EncodeScoreRequest(req));
     }
-    const int64_t t0 = NowNs() + 2'000'000;
-    int64_t last_due = t0;
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      int64_t due = 0;
-      if (window == 0) {
-        due = t0 + reqs[i].due_ns;
-        if (NowNs() < due) SleepUntil(due);
-      } else {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (!cv_.wait_for(lock, std::chrono::nanoseconds(kResponseTimeoutNs),
-                          [&] { return i - answered_ < window; })) {
-          break;  // the daemon stopped answering; the rest time out
-        }
-        due = NowNs();
-      }
-      RequestRecord& rec = records[i];
-      rec.due_ns = due;
-      rec.send_ns = NowNs();
-      last_due = due;
-      if (!serve::WriteFrame(fds_[i % fds_.size()], frames[i]).ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (rec.outcome == Outcome::kPending) {
-          rec.outcome = Outcome::kError;
-          ++answered_;
-        }
-      }
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    const auto deadline =
-        std::chrono::steady_clock::time_point(
-            std::chrono::nanoseconds(last_due + kResponseTimeoutNs));
-    cv_.wait_until(lock, deadline,
-                   [&] { return answered_ == records.size(); });
-    for (RequestRecord& r : records) {
-      if (r.outcome == Outcome::kPending) r.outcome = Outcome::kTimeout;
-    }
-    ++phase_;  // late responses of this phase are now ignored
-    records_ = nullptr;
-    reqs_ = nullptr;
+    Phase phase{id, &reqs, &frames, &records, NowNs() + 2'000'000, window};
+    std::thread helper([&] { RunLane(1, phase); });
+    RunLane(0, phase);
+    helper.join();
     return records;
   }
 
-  void OnScoreResponse(const serve::ScoreResponse& resp, int64_t recv_ns) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const uint64_t phase = resp.request_id >> 32;
-    const size_t idx = resp.request_id & 0xffffffffu;
-    if (records_ == nullptr || phase != phase_ || idx >= records_->size()) {
-      return;
+  /// The event loop of lane `lane`: sends each of its requests when due
+  /// (open loop) or when fewer than `window` are in flight (closed loop),
+  /// and reads responses between sends. Ends when every request of the
+  /// lane is answered, or kResponseTimeoutNs after its last send.
+  void RunLane(size_t lane, const Phase& ph) {
+    const std::vector<Request>& reqs = *ph.reqs;
+    std::vector<RequestRecord>& records = *ph.records;
+    std::vector<size_t> mine;
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      if (i % kConnections % kLanes == lane) mine.push_back(i);
     }
-    RequestRecord& rec = (*records_)[idx];
-    if (rec.outcome != Outcome::kPending) return;
-    rec.recv_ns = recv_ns;
-    if (resp.code == serve::ResponseCode::kShed) {
-      rec.outcome = Outcome::kShed;
-    } else if (resp.code != serve::ResponseCode::kOk) {
-      rec.outcome = Outcome::kError;
-    } else {
-      rec.outcome = Outcome::kOk;
-      const Request& req = (*reqs_)[idx];
-      if (resp.scores.size() != req.users.size()) {
-        rec.outcome = Outcome::kMismatch;
-      } else if (universe_.Checkable(req.tweet, req.users)) {
-        ++checked_responses_;
-        for (size_t j = 0; j < req.users.size(); ++j) {
-          uint64_t want = 0, got = 0;
-          universe_.Lookup(req.tweet, req.users[j], &want);
-          std::memcpy(&got, &resp.scores[j], sizeof(got));
-          ++checked_scores_;
-          if (got != want) rec.outcome = Outcome::kMismatch;
+    std::vector<pollfd> pfds;
+    for (size_t c = lane; c < fds_.size(); c += kLanes) {
+      pfds.push_back({fds_[c], POLLIN, 0});
+    }
+    Checks& checks = lane_checks_[lane];
+    size_t next = 0, answered = 0;
+    int64_t last_send = ph.t0;
+    std::string payload;
+    auto settle = [&](RequestRecord& rec, Outcome outcome) {
+      if (rec.outcome != Outcome::kPending) return;
+      rec.outcome = outcome;
+      ++answered;
+    };
+    while (answered < mine.size()) {
+      const int64_t now = NowNs();
+      int64_t wake = last_send + kResponseTimeoutNs;
+      // A due request whose socket is full waits for room while the lane
+      // keeps reading: a blocking write could deadlock against a daemon
+      // that is itself blocked writing (shed) responses to this lane.
+      int blocked_fd = -1;
+      if (next < mine.size() &&
+          (ph.window == 0 || next - answered < ph.window)) {
+        const size_t i = mine[next];
+        const int64_t due = ph.window == 0 ? ph.t0 + reqs[i].due_ns : now;
+        pollfd out = {fds_[i % kConnections], POLLOUT, 0};
+        if (due > now) {
+          wake = std::min(wake, due);
+        } else if (::poll(&out, 1, 0) == 0) {
+          blocked_fd = out.fd;
+        } else {
+          RequestRecord& rec = records[i];
+          rec.due_ns = due;
+          rec.send_ns = NowNs();
+          last_send = rec.send_ns;
+          ++next;
+          if (!serve::WriteFrame(fds_[i % kConnections], (*ph.frames)[i])
+                   .ok()) {
+            settle(rec, Outcome::kError);
+          }
+          continue;
         }
       }
-      if (rec.outcome == Outcome::kMismatch) ++mismatched_;
-    }
-    ++answered_;
-    cv_.notify_all();
-  }
-
-  void ReceiverLoop() {
-    std::vector<pollfd> pfds;
-    for (int fd : fds_) pfds.push_back({fd, POLLIN, 0});
-    std::string payload;
-    while (!stop_.load()) {
-      if (::poll(pfds.data(), pfds.size(), 20) <= 0) continue;
+      if (now >= wake) break;  // the daemon stopped answering
+      const int64_t wait = std::max<int64_t>(0, wake - now);
+      struct timespec ts = {static_cast<time_t>(wait / 1'000'000'000),
+                            static_cast<long>(wait % 1'000'000'000)};
       for (pollfd& p : pfds) {
-        if (p.fd < 0 || p.revents == 0) continue;
+        p.events = p.fd == blocked_fd ? POLLIN | POLLOUT : POLLIN;
+      }
+      if (::ppoll(pfds.data(), pfds.size(), &ts, nullptr) <= 0) continue;
+      for (pollfd& p : pfds) {
+        if (p.fd < 0 || (p.revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+          continue;
+        }
         bool eof = false;
         const Status st = serve::ReadFrame(p.fd, &payload, &eof);
         const int64_t recv_ns = NowNs();
         if (!st.ok() || eof) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++connection_errors_;
-          p.fd = -1;  // poll ignores negative fds
+          ++checks.connection_errors;
+          p.fd = -1;  // ppoll ignores negative fds
           continue;
         }
+        serve::ScoreResponse resp;
         auto type = serve::PeekMessageType(payload);
-        if (!type.ok()) continue;
-        if (type.ValueOrDie() == serve::MessageType::kScoreResponse) {
-          serve::ScoreResponse resp;
-          if (serve::DecodeScoreResponse(payload, &resp).ok()) {
-            OnScoreResponse(resp, recv_ns);
-          }
-        } else if (type.ValueOrDie() == serve::MessageType::kMetricsResponse) {
-          serve::MetricsResponse resp;
-          if (serve::DecodeMetricsResponse(payload, &resp).ok()) {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (resp.request_id == metrics_id_) {
-              metrics_ = std::move(resp);
-              metrics_ready_ = true;
-              cv_.notify_all();
-            }
-          }
+        if (!type.ok() ||
+            type.ValueOrDie() != serve::MessageType::kScoreResponse ||
+            !serve::DecodeScoreResponse(payload, &resp).ok()) {
+          continue;
         }
+        const size_t idx = resp.request_id & 0xffffffffu;
+        if (resp.request_id >> 32 != ph.id || idx >= records.size() ||
+            idx % kConnections % kLanes != lane ||
+            records[idx].outcome != Outcome::kPending) {
+          continue;  // a late response of an earlier phase
+        }
+        records[idx].recv_ns = recv_ns;
+        settle(records[idx], Judge(reqs[idx], resp, &checks));
+      }
+    }
+    for (size_t i : mine) {
+      if (records[i].outcome == Outcome::kPending) {
+        records[i].outcome = Outcome::kTimeout;
       }
     }
   }
 
+  /// The outcome of one answered request; an OK response whose pairs are
+  /// in the reference table is byte-compared against it.
+  Outcome Judge(const Request& req, const serve::ScoreResponse& resp,
+                Checks* checks) const {
+    if (resp.code == serve::ResponseCode::kShed) return Outcome::kShed;
+    if (resp.code != serve::ResponseCode::kOk) return Outcome::kError;
+    Outcome outcome = Outcome::kOk;
+    if (resp.scores.size() != req.users.size()) {
+      outcome = Outcome::kMismatch;
+    } else if (universe_.Checkable(req.tweet, req.users)) {
+      ++checks->responses;
+      for (size_t j = 0; j < req.users.size(); ++j) {
+        uint64_t want = 0, got = 0;
+        universe_.Lookup(req.tweet, req.users[j], &want);
+        std::memcpy(&got, &resp.scores[j], sizeof(got));
+        ++checks->scores;
+        if (got != want) outcome = Outcome::kMismatch;
+      }
+    }
+    if (outcome == Outcome::kMismatch) ++checks->mismatched;
+    return outcome;
+  }
+
   const Universe& universe_;
   std::vector<int> fds_;
-
-  std::mutex mu_;  ///< guards everything below
-  std::condition_variable cv_;
   uint64_t phase_ = 1;
-  std::vector<RequestRecord>* records_ = nullptr;
-  const std::vector<Request>* reqs_ = nullptr;
-  size_t answered_ = 0;
-  size_t checked_responses_ = 0;
-  size_t checked_scores_ = 0;
-  size_t mismatched_ = 0;
-  size_t connection_errors_ = 0;
   uint64_t metrics_id_ = 0;
-  bool metrics_ready_ = false;
-  serve::MetricsResponse metrics_;
-
-  std::atomic<bool> stop_{false};
-  std::thread receiver_;  ///< declared last: uses every member above
+  Checks lane_checks_[kLanes];
 };
 
 JsonObject SummaryJson(const PhaseSummary& s, double rate) {
@@ -509,7 +528,7 @@ int RunServe(const ServeArgs& args) {
         OpenLoopPhase(w, universe, MixSeed(seed, tag), rate, seconds);
     const auto recs = client.RunOpenLoop(reqs);
     const int64_t start = recs.empty() ? 0 : recs[0].due_ns - reqs[0].due_ns;
-    return Summarize(recs, start, seconds, WindowsFor(seconds, rate));
+    return Summarize(recs, start, seconds, WindowsFor(seconds));
   };
 
   auto m0 = client.Metrics();
@@ -519,26 +538,23 @@ int RunServe(const ServeArgs& args) {
   auto m1 = client.Metrics();
   if (!m1.ok()) return Fail(m1.status());
 
-  LadderStep start;
-  start.rate = args.nominal_qps;
-  start.summary = nominal;
-  start.pass = StepPasses(nominal);
+  const PhaseSummary overload =
+      run_phase(4, args.overload_qps, kOverloadShare * args.seconds);
+  auto m2 = client.Metrics();
+  if (!m2.ok()) return Fail(m2.status());
+
+  // The ladder starts below the OK rate the overload sustained, so it
+  // spends its steps near the knee on a fast and on a slow commit alike.
   uint64_t step_no = 0;
-  const LadderResult ladder =
-      RunLadder(start, [&](double rate) {
-        const double step_s = std::max(0.06 * args.seconds, 1200.0 / rate);
+  const LadderResult ladder = RunLadder(
+      std::max(kLadderStartShare * overload.ok_per_s, args.nominal_qps / 8),
+      [&](double rate) {
+        const double step_s = std::clamp(
+            1200.0 / rate, kLadderStepShare * args.seconds, kLadderStepMaxS);
         return run_phase(100 + step_no++, rate, step_s);
       });
 
-  auto m2 = client.Metrics();
-  if (!m2.ok()) return Fail(m2.status());
-  const double overload_s = 0.15 * args.seconds;
-  const PhaseSummary overload = run_phase(4, args.overload_qps, overload_s);
-  auto m3 = client.Metrics();
-  if (!m3.ok()) return Fail(m3.status());
-
   const int64_t rss_kb = daemon.PeakRssKb();
-  // Read before the daemon stops: its drain closes every connection.
   const LoadClient::Checks checks = client.checks();
   const Status stopped = daemon.Stop();
 
@@ -554,9 +570,9 @@ int RunServe(const ServeArgs& args) {
 
   JsonObject kmetrics;
   kmetrics.Obj("nominal", CounterDeltas(m0.ValueOrDie(), m1.ValueOrDie()))
-      .Obj("overload", CounterDeltas(m2.ValueOrDie(), m3.ValueOrDie()))
+      .Obj("overload", CounterDeltas(m1.ValueOrDie(), m2.ValueOrDie()))
       .Int("queue_depth_peak_after_nominal", QueueDepthPeak(m1.ValueOrDie()))
-      .Bool("obs_histograms", !m3.ValueOrDie().histograms.empty());
+      .Bool("obs_histograms", !m2.ValueOrDie().histograms.empty());
 
   std::string argv_json = "[";
   for (size_t i = 1; i < daemon_argv.size(); ++i) {

@@ -70,9 +70,9 @@ PhaseSummary Summarize(const std::vector<RequestRecord>& records,
   s.duration_s = duration_s;
   s.windows = std::max<size_t>(1, windows);
   const double window_ns = duration_s * 1e9 / static_cast<double>(s.windows);
-  std::vector<std::vector<double>> latency(s.windows);
   std::vector<size_t> ok(s.windows, 0);
-  std::vector<double> lag;
+  std::vector<double> latency, lag;
+  latency.reserve(records.size());
   lag.reserve(records.size());
   for (const RequestRecord& r : records) {
     switch (r.outcome) {
@@ -84,43 +84,32 @@ PhaseSummary Summarize(const std::vector<RequestRecord>& records,
       case Outcome::kTimeout: ++s.timeout; break;
     }
     lag.push_back(static_cast<double>(r.send_ns - r.due_ns) / 1e6);
+    latency.push_back(LatencyFromDueMs(r));
     const double offset = static_cast<double>(r.due_ns - start_ns);
     const size_t w = std::min(
         s.windows - 1,
         static_cast<size_t>(std::max(0.0, offset) / std::max(window_ns, 1.0)));
-    latency[w].push_back(LatencyFromDueMs(r));
     ok[w] += r.outcome == Outcome::kOk;
   }
-  std::vector<double> p50, p99, rate;
-  s.p99_reportable = true;
-  for (size_t w = 0; w < s.windows; ++w) {
-    rate.push_back(static_cast<double>(ok[w]) / (window_ns / 1e9));
-    if (latency[w].empty()) {
-      s.p99_reportable = false;
-      continue;
-    }
-    std::sort(latency[w].begin(), latency[w].end());
-    p50.push_back(ExactQuantile(latency[w], 0.5));
-    p99.push_back(ExactQuantile(latency[w], 0.99));
-    s.p99_reportable &= QuantileReportable(latency[w].size(), 0.99);
-  }
-  if (!p50.empty()) {
-    s.p50_ms = Median(p50);
-    s.p99_ms = Median(p99);
-  }
-  if (!lag.empty()) {
+  if (!latency.empty()) {
+    std::sort(latency.begin(), latency.end());
+    s.p50_ms = ExactQuantile(latency, 0.5);
+    s.p99_ms = ExactQuantile(latency, 0.99);
     std::sort(lag.begin(), lag.end());
     s.send_lag_p99_ms = ExactQuantile(lag, 0.99);
+  }
+  s.p99_reportable = QuantileReportable(latency.size(), 0.99);
+  std::vector<double> rate;
+  for (size_t w = 0; w < s.windows; ++w) {
+    rate.push_back(static_cast<double>(ok[w]) / (window_ns / 1e9));
   }
   s.ok_per_s = duration_s > 0 ? Median(rate) : 0.0;
   s.backlog_growing = BacklogGrowing(records);
   return s;
 }
 
-size_t WindowsFor(double duration_s, double rate) {
-  const auto by_time = static_cast<size_t>(duration_s / 0.25);
-  const auto by_count = static_cast<size_t>(duration_s * rate / 1100.0);
-  const size_t n = std::max<size_t>(1, std::min(by_time, by_count));
+size_t WindowsFor(double duration_s) {
+  const auto n = std::max<size_t>(1, static_cast<size_t>(duration_s / 0.25));
   return n % 2 == 1 ? n : n - 1;  // odd, so the median is one window's value
 }
 
@@ -129,31 +118,32 @@ bool StepPasses(const PhaseSummary& s) {
          s.miss_frac() <= kSloMaxMissFrac && !s.backlog_growing;
 }
 
-LadderResult RunLadder(const LadderStep& start,
+LadderResult RunLadder(double start_rate,
                        const std::function<PhaseSummary(double)>& run_step) {
   LadderResult out;
-  auto step = [&](double rate) {
-    LadderStep st;
-    st.rate = rate;
-    st.summary = run_step(rate);
-    st.pass = StepPasses(st.summary);
-    out.steps.push_back(st);
-    return st.pass;
+  // A rate passes when one of two steps at it passes: one burst of host
+  // stalls should not move slo_qps by a whole step.
+  auto passes = [&](double rate) {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      LadderStep st;
+      st.rate = rate;
+      st.summary = run_step(rate);
+      st.pass = StepPasses(st.summary);
+      out.steps.push_back(st);
+      if (st.pass) return true;
+    }
+    return false;
   };
   double lo = 0.0;  // highest passing rate seen
   double hi = 0.0;  // lowest failing rate seen
-  if (start.pass) {
-    lo = start.rate;
-    double rate = start.rate;
-    for (int i = 0; i < kLadderMaxUp; ++i) {
-      rate *= kLadderGrowth;
-      // A climbing step must fail twice to end the climb: one burst of
-      // host noise should not cut the ladder short by a whole step.
-      if (step(rate) || step(rate)) {
+  if (passes(start_rate)) {
+    lo = start_rate;
+    for (int i = 0; i < kLadderMaxUp && hi == 0.0; ++i) {
+      const double rate = lo * kLadderGrowth;
+      if (passes(rate)) {
         lo = rate;
       } else {
         hi = rate;
-        break;
       }
     }
     if (hi == 0.0) {
@@ -162,21 +152,20 @@ LadderResult RunLadder(const LadderStep& start,
       return out;
     }
   } else {
-    hi = start.rate;
-    double rate = start.rate;
-    for (int i = 0; i < kLadderMaxDown; ++i) {
-      rate /= kLadderGrowth;
-      if (step(rate)) {
+    hi = start_rate;
+    for (int i = 0; i < kLadderMaxDown && lo == 0.0; ++i) {
+      const double rate = hi / kLadderGrowth;
+      if (passes(rate)) {
         lo = rate;
-        break;
+      } else {
+        hi = rate;
       }
-      hi = rate;
     }
     if (lo == 0.0) return out;
   }
   for (int i = 0; i < kLadderBisect; ++i) {
     const double mid = std::sqrt(lo * hi);
-    if (step(mid)) {
+    if (passes(mid)) {
       lo = mid;
     } else {
       hi = mid;

@@ -64,11 +64,10 @@ double LatencyFromDueMs(const RequestRecord& r);
 /// keeps up with its arrivals shows no such trend.
 bool BacklogGrowing(const std::vector<RequestRecord>& records);
 
-/// A phase is cut into equal windows by due time, and its quantiles and
-/// rate are medians over the windows. The host this benchmark runs on
-/// stalls in bursts of ~100 ms; a median over windows damps a burst that
-/// hits a few windows without hiding a slowdown that persists. With one
-/// window these are the phase's own exact quantiles.
+/// One phase: its exact p50 and p99 over every request sent in it (a
+/// miss counts as +inf), and its OK rate as the median over equal windows
+/// by due time, so a burst of host stalls in one window does not set the
+/// rate. With one window the rate is the phase's own.
 struct PhaseSummary {
   size_t sent = 0;
   size_t ok = 0;
@@ -80,7 +79,7 @@ struct PhaseSummary {
   size_t windows = 0;
   double p50_ms = 0.0;  ///< from due; +inf when misses reach the rank
   double p99_ms = 0.0;
-  bool p99_reportable = false;   ///< every window has 10 samples beyond
+  bool p99_reportable = false;   ///< p99 has 10 samples beyond it
   double send_lag_p99_ms = 0.0;  ///< how late the generator ran (phase)
   double ok_per_s = 0.0;         ///< OK responses per scheduled second
   bool backlog_growing = false;
@@ -98,25 +97,24 @@ PhaseSummary Summarize(const std::vector<RequestRecord>& records,
                        int64_t start_ns, double duration_s,
                        size_t windows = 1);
 
-/// Windows for a phase of `duration_s` at `rate`: the largest odd count
-/// with at least 0.25 s and ~1100 expected requests per window (so each
-/// window's p99 has ten samples beyond it), and at least one.
-size_t WindowsFor(double duration_s, double rate);
+/// Rate windows for a phase of `duration_s`: the largest odd count of at
+/// least 0.25 s each, and at least one.
+size_t WindowsFor(double duration_s);
 
 /// A ladder step passes when its p99 is reportable and within kSloP99Ms,
 /// its misses are at most kSloMaxMissFrac of what was sent, and its
 /// backlog is not growing.
 bool StepPasses(const PhaseSummary& s);
 
-/// Rate ladder shape: climb by kLadderGrowth per step (at most
-/// kLadderMaxUp steps; a climbing step that fails is run once more and
-/// ends the climb only if it fails again), or descend at most
-/// kLadderMaxDown; then bisect geometrically kLadderBisect times between
-/// the highest pass and the lowest fail — a final resolution of
-/// 1.25^(1/8), about 2.8%.
+/// Rate ladder shape: from its start rate, climb by kLadderGrowth per
+/// rate (at most kLadderMaxUp times) until a rate fails, or descend (at
+/// most kLadderMaxDown times) until one passes; then bisect geometrically
+/// kLadderBisect times between the highest pass and the lowest fail, a
+/// final resolution of 1.25^(1/8), about 2.8%. A rate fails only when two
+/// steps at it both fail.
 inline constexpr double kLadderGrowth = 1.25;
 inline constexpr int kLadderMaxUp = 5;
-inline constexpr int kLadderMaxDown = 3;
+inline constexpr int kLadderMaxDown = 8;
 inline constexpr int kLadderBisect = 3;
 
 struct LadderStep {
@@ -134,12 +132,9 @@ struct LadderResult {
   std::vector<LadderStep> steps;
 };
 
-/// Runs the rate ladder. `start` is the already-measured verdict of the
-/// starting rate (the nominal phase); `run_step(rate)` runs one open-loop
-/// step at `rate` and returns its summary. Climbs until a step fails (or
-/// descends until one passes), then bisects between the highest pass and
-/// the lowest fail.
-LadderResult RunLadder(const LadderStep& start,
+/// Runs the rate ladder from `start_rate`. `run_step(rate)` runs one
+/// open-loop step at `rate` and returns its summary.
+LadderResult RunLadder(double start_rate,
                        const std::function<PhaseSummary(double)>& run_step);
 
 }  // namespace perfbench

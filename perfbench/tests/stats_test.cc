@@ -1,5 +1,6 @@
 // Self-tests for the load client's statistics: exact quantiles and the
-// ten-beyond rule, due-time accounting, misses, and the slo_qps ladder.
+// ten-beyond rule, due-time accounting, misses, and the slo_qps ladder and
+// its backlog check.
 
 #include <gtest/gtest.h>
 
@@ -131,9 +132,9 @@ TEST(Backlog, GrowingLatencyIsABacklogFlatIsNot) {
   EXPECT_FALSE(StepPasses(Summarize(Flat(1000, 25.0), 0, 1.0)));
 }
 
-TEST(Windows, MedianOverWindowsDampsOneDisturbedWindow) {
-  // 4 one-second windows of 1000 requests each at 1 ms; the third window
-  // is disturbed: a 40 ms stall hits 5% of its requests.
+TEST(Summarize, QuantilesPoolEveryRequestOfThePhase) {
+  // 4 one-second windows of 1000 requests each at 1 ms; in the third, a
+  // 40 ms stall hits 5% of its requests, 1.25% of the phase.
   std::vector<RequestRecord> recs;
   for (int w = 0; w < 4; ++w) {
     for (int i = 0; i < 1000; ++i) {
@@ -145,27 +146,35 @@ TEST(Windows, MedianOverWindowsDampsOneDisturbedWindow) {
       recs.push_back(r);
     }
   }
-  EXPECT_GE(Summarize(recs, 0, 4.0).p99_ms, 40.0);
-  const PhaseSummary ws = Summarize(recs, 0, 4.0, 4);
-  EXPECT_EQ(ws.windows, 4u);
-  EXPECT_TRUE(ws.p99_reportable);
-  EXPECT_DOUBLE_EQ(ws.p99_ms, 1.0);
-  EXPECT_DOUBLE_EQ(ws.p50_ms, 1.0);
-  EXPECT_DOUBLE_EQ(ws.ok_per_s, 1000.0);
-  // A disturbance that persists is not hidden.
-  for (auto& r : recs) {
-    if (r.due_ns % (1000 * kMs) < 50 * kMs) r.recv_ns = r.due_ns + 40 * kMs;
-  }
-  EXPECT_DOUBLE_EQ(Summarize(recs, 0, 4.0, 4).p99_ms, 40.0);
-  // Windows too thin for a p99 with ten samples beyond are flagged.
-  EXPECT_FALSE(Summarize(recs, 0, 4.0, 8).p99_reportable);
+  // One disturbed window of four still sets the phase's p99: windows
+  // only shape the OK rate.
+  const PhaseSummary s = Summarize(recs, 0, 4.0, 4);
+  EXPECT_EQ(s.windows, 4u);
+  EXPECT_TRUE(s.p99_reportable);
+  EXPECT_DOUBLE_EQ(s.p99_ms, 40.0);
+  EXPECT_DOUBLE_EQ(s.p50_ms, 1.0);
+  EXPECT_DOUBLE_EQ(s.ok_per_s, 1000.0);
+  EXPECT_DOUBLE_EQ(Summarize(recs, 0, 4.0, 1).p99_ms, 40.0);
 }
 
-TEST(Windows, WindowsForKeepsTenSamplesBeyondP99) {
-  EXPECT_EQ(WindowsFor(4.0, 7500), 15u);  // >= 0.25 s and 1875 each
-  EXPECT_EQ(WindowsFor(4.0, 1150), 3u);   // 1.33 s windows, 1533 each
-  EXPECT_EQ(WindowsFor(0.75, 10000), 3u);
-  EXPECT_EQ(WindowsFor(0.5, 1000), 1u);
+TEST(Summarize, MostOfAPhaseMissingMakesP50AMiss) {
+  auto recs = Flat(1000, 1.0);
+  for (size_t i = 0; i < 600; ++i) {
+    recs[i].outcome = i % 2 == 0 ? Outcome::kShed : Outcome::kTimeout;
+  }
+  const PhaseSummary s = Summarize(recs, 0, 1.0);
+  EXPECT_TRUE(std::isinf(s.p50_ms));
+  EXPECT_TRUE(std::isinf(s.p99_ms));
+  EXPECT_EQ(s.misses(), 600u);
+  EXPECT_DOUBLE_EQ(s.ok_per_s, 400.0);
+  EXPECT_FALSE(StepPasses(s));
+}
+
+TEST(Windows, WindowsForIsOddAndAtLeastAQuarterSecond) {
+  EXPECT_EQ(WindowsFor(4.0), 15u);
+  EXPECT_EQ(WindowsFor(1.5), 5u);
+  EXPECT_EQ(WindowsFor(0.75), 3u);
+  EXPECT_EQ(WindowsFor(0.3), 1u);
 }
 
 /// A server with capacity `cap`: below it every step is flat at 1 ms,
@@ -182,60 +191,63 @@ std::function<PhaseSummary(double)> Server(double cap, std::vector<double>* seen
   };
 }
 
+/// Each failing rate of a ladder was run twice, each passing rate once
+/// (after at most one failure).
+void ExpectRetriedFailures(const LadderResult& r) {
+  for (size_t i = 0; i < r.steps.size(); ++i) {
+    if (r.steps[i].pass) continue;
+    ASSERT_LT(i + 1, r.steps.size());
+    EXPECT_DOUBLE_EQ(r.steps[i + 1].rate, r.steps[i].rate);
+    if (!r.steps[i + 1].pass) ++i;
+  }
+}
+
 TEST(Ladder, ClimbsThenBisectsToTheHighestPassingRate) {
   std::vector<double> seen;
-  LadderStep start;
-  start.rate = 1000;
-  start.pass = true;
-  const LadderResult r = RunLadder(start, Server(2200, &seen));
-  // Climb 1250, 1562.5, 1953.1 pass; 2441.4 fails twice; 3 bisections.
-  ASSERT_EQ(r.steps.size(), 5u + 3u);
+  const LadderResult r = RunLadder(1000, Server(2200, &seen));
+  // 1000, 1250, 1562.5, 1953.1 pass; 2441.4 fails twice; 3 bisections.
   EXPECT_FALSE(r.capped);
   EXPECT_LE(r.slo_qps, 2200.0);
   // Resolution after three bisections of one 1.25x step: 1.25^(1/8).
   EXPECT_GT(r.slo_qps, 2200.0 / std::pow(1.25, 1.0 / 8.0));
   for (const LadderStep& s : r.steps) EXPECT_EQ(s.pass, s.rate <= 2200.0);
+  ExpectRetriedFailures(r);
 }
 
-TEST(Ladder, OneNoisyFailureDoesNotEndTheClimb) {
+TEST(Ladder, OneNoisyFailureDoesNotMoveTheResult) {
   std::vector<double> seen;
   auto server = Server(2200, &seen);
   bool noise_used = false;
-  LadderStep start;
-  start.rate = 1000;
-  start.pass = true;
-  const LadderResult r = RunLadder(start, [&](double rate) {
+  const LadderResult r = RunLadder(1000, [&](double rate) {
     if (rate > 1500 && !noise_used) {  // one burst at 1562.5
       noise_used = true;
       return Summarize(Flat(1200, 30.0), 0, 1.0);
     }
     return server(rate);
   });
-  EXPECT_GT(r.slo_qps, 1953.0);
+  EXPECT_GT(r.slo_qps, 2200.0 / std::pow(1.25, 1.0 / 8.0));
   EXPECT_LE(r.slo_qps, 2200.0);
 }
 
-TEST(Ladder, DescendsWhenTheStartFailsAndCapsWhenNothingFails) {
+TEST(Ladder, DescendsUntilARatePassesAndCapsWhenNothingFails) {
   std::vector<double> seen;
-  LadderStep start;
-  start.rate = 1000;
-  start.pass = false;
-  LadderResult r = RunLadder(start, Server(700, &seen));
-  EXPECT_LE(r.slo_qps, 700.0);
-  EXPECT_GT(r.slo_qps, 700.0 / std::pow(1.25, 1.0 / 8.0));
+  LadderResult r = RunLadder(1000, Server(300, &seen));
+  // 1000 .. 327.7 fail, 262.1 passes: five descents, then bisection.
+  EXPECT_LE(r.slo_qps, 300.0);
+  EXPECT_GT(r.slo_qps, 300.0 / std::pow(1.25, 1.0 / 8.0));
+  ExpectRetriedFailures(r);
 
   seen.clear();
-  start.pass = true;
-  r = RunLadder(start, Server(1e9, &seen));
+  r = RunLadder(1000, Server(1e9, &seen));
   EXPECT_TRUE(r.capped);
-  EXPECT_EQ(seen.size(), 5u);
-  EXPECT_DOUBLE_EQ(r.slo_qps, 1000 * std::pow(1.25, 5));
+  EXPECT_EQ(seen.size(), 1u + kLadderMaxUp);
+  EXPECT_DOUBLE_EQ(r.slo_qps, 1000 * std::pow(1.25, kLadderMaxUp));
 
+  // Nothing passes: the start and kLadderMaxDown descents, each twice.
   seen.clear();
-  start.pass = false;
-  r = RunLadder(start, Server(1, &seen));
+  r = RunLadder(1000, Server(1, &seen));
   EXPECT_EQ(r.slo_qps, 0.0);
-  EXPECT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen.size(), 2u * (1 + kLadderMaxDown));
 }
 
 }  // namespace
