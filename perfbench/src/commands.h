@@ -33,6 +33,7 @@ struct ServeArgs {
   double seconds = 10.0;
   double nominal_qps = 0.0;
   double overload_qps = 0.0;
+  int cold_starts = 1;  ///< daemon cold starts to time; the first serves
   std::string universe;
   std::string world;
   std::string bundle;
@@ -67,10 +68,10 @@ inline int Fail(const retina::Status& st) {
   return 1;
 }
 
-/// Nominal-phase length for `seconds` of measurement: 60% of the run, and
+/// Nominal-phase length for `seconds` of measurement: 25% of the run, and
 /// never fewer than ~1200 requests so p99 has ten samples beyond it.
 inline double NominalSeconds(double seconds, double nominal_qps) {
-  return std::max(seconds * 0.6, 1200.0 / nominal_qps);
+  return std::max(seconds * 0.25, 1200.0 / nominal_qps);
 }
 
 }  // namespace perfbench

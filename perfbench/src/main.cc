@@ -2,7 +2,7 @@
 //
 //   perfbench_client prepare --world DIR --bundle DIR --out FILE
 //   perfbench_client serve   --workload W --seed N --seconds S
-//                            --nominal-qps R --overload-qps R
+//                            --nominal-qps R --overload-qps R --cold-starts N
 //                            --universe FILE --world DIR --bundle DIR
 //                            --serve-bin PATH --socket PATH
 //                            --daemon-log FILE --out FILE
@@ -74,6 +74,7 @@ int main(int argc, char** argv) {
       a.seconds = seconds;
       a.nominal_qps = nominal;
       a.overload_qps = num("overload-qps");
+      a.cold_starts = static_cast<int>(num("cold-starts"));
       a.universe = get("universe");
       a.world = get("world");
       a.bundle = get("bundle");
@@ -81,7 +82,8 @@ int main(int argc, char** argv) {
       a.socket = get("socket");
       a.daemon_log = get("daemon-log");
       a.out = get("out");
-      if (missing || seconds <= 0 || nominal <= 0 || a.overload_qps <= 0) {
+      if (missing || seconds <= 0 || nominal <= 0 || a.overload_qps <= 0 ||
+          a.cold_starts < 1) {
         return Usage();
       }
       return perfbench::RunServe(a);

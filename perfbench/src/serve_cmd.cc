@@ -5,9 +5,10 @@
 //
 // Phases: daemon spawn to the first OK score (cold start), an untimed
 // closed-loop warm-up plus a short open-loop settle, the nominal phase at
-// a fixed rate, a fixed overload, and the slo_qps rate ladder. Every
-// request is timed from its due time; every checkable response is
-// byte-compared against the universe's in-process reference scores.
+// a fixed rate, a fixed overload, and the slo_qps rate ladder; then, with
+// --cold-starts N, N-1 more cold starts of fresh daemons. Every request is
+// timed from its due time; every checkable response is byte-compared
+// against the universe's in-process reference scores.
 
 #include <fcntl.h>
 #include <poll.h>
@@ -42,11 +43,13 @@ constexpr size_t kWarmupWindow = 4;  // per lane
 constexpr int64_t kResponseTimeoutNs = 3'000'000'000;
 constexpr double kColdStartLimitS = 150.0;
 /// Phase lengths as shares of --seconds. A ladder step is also at least
-/// 1200 requests long (so its p99 has ten samples beyond it) and at most
+/// kLadderStepMinRequests long (so its p99 has 24 samples beyond it, and
+/// one short hiccup does not decide the step) and at most
 /// kLadderStepMaxS, which bounds the run on a very slow commit.
-constexpr double kOverloadShare = 0.15;
+constexpr double kOverloadShare = 0.3;
 constexpr double kLadderStepShare = 0.04;
 constexpr double kLadderStepMaxS = 4.0;
+constexpr double kLadderStepMinRequests = 2400.0;
 /// The ladder starts at this share of the overload phase's OK rate.
 constexpr double kLadderStartShare = 0.8;
 
@@ -452,6 +455,51 @@ int64_t QueueDepthPeak(const retina::obs::RegistrySnapshot& s) {
   return it == s.gauges.end() ? -1 : it->second;
 }
 
+/// Spawns `daemon` and waits for its first OK score over the wire. Returns
+/// the cold start (exec to that score, seconds) and leaves the connection
+/// that got it open in *fd.
+Result<double> ColdStart(Daemon* daemon, const std::vector<std::string>& argv,
+                         const std::string& log, const std::string& socket,
+                         const Universe& universe, int* fd) {
+  serve::ScoreRequest probe;
+  probe.request_id = 1;
+  probe.tweet_id = universe.hot_tweets[0];
+  probe.users = {universe.hot_users[0]};
+  const std::string frame = serve::EncodeScoreRequest(probe);
+  ::unlink(socket.c_str());
+  const int64_t exec_ns = NowNs();
+  RETINA_RETURN_NOT_OK(daemon->Spawn(argv, log));
+  while (true) {
+    if (static_cast<double>(NowNs() - exec_ns) / 1e9 > kColdStartLimitS) {
+      return Status::IOError("daemon not ready in time");
+    }
+    if (!daemon->Alive()) return Status::IOError("daemon exited");
+    auto conn = ConnectUnix(socket);
+    if (!conn.ok()) {
+      ::usleep(2000);
+      continue;
+    }
+    const int probe_fd = conn.ValueOrDie();
+    struct timeval tv = {10, 0};  // a loaded daemon answers at once
+    ::setsockopt(probe_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    std::string payload;
+    bool eof = false;
+    serve::ScoreResponse resp;
+    if (serve::WriteFrame(probe_fd, frame).ok() &&
+        serve::ReadFrame(probe_fd, &payload, &eof).ok() && !eof &&
+        serve::DecodeScoreResponse(payload, &resp).ok() &&
+        resp.code == serve::ResponseCode::kOk) {
+      const double cold_start_s = static_cast<double>(NowNs() - exec_ns) / 1e9;
+      tv = {0, 0};
+      ::setsockopt(probe_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+      *fd = probe_fd;
+      return cold_start_s;
+    }
+    ::close(probe_fd);
+    ::usleep(2000);
+  }
+}
+
 }  // namespace
 
 int RunServe(const ServeArgs& args) {
@@ -464,54 +512,15 @@ int RunServe(const ServeArgs& args) {
   const std::vector<std::string> daemon_argv = {
       args.serve_bin, "--data", args.world, "--model", args.bundle,
       "--socket",     args.socket};
-  ::unlink(args.socket.c_str());
   Daemon daemon;
-  const int64_t exec_ns = NowNs();
-  Status st = daemon.Spawn(daemon_argv, args.daemon_log);
-  if (!st.ok()) return Fail(st);
-
-  // Cold start: exec to the first OK score over the wire.
   int probe_fd = -1;
-  double cold_start_s = 0.0;
-  {
-    serve::ScoreRequest probe;
-    probe.request_id = 1;
-    probe.tweet_id = universe.hot_tweets[0];
-    probe.users = {universe.hot_users[0]};
-    const std::string frame = serve::EncodeScoreRequest(probe);
-    while (true) {
-      if (static_cast<double>(NowNs() - exec_ns) / 1e9 > kColdStartLimitS) {
-        return Fail(Status::IOError("daemon not ready in time"));
-      }
-      if (!daemon.Alive()) return Fail(Status::IOError("daemon exited"));
-      auto fd = ConnectUnix(args.socket);
-      if (!fd.ok()) {
-        ::usleep(2000);
-        continue;
-      }
-      probe_fd = fd.ValueOrDie();
-      struct timeval tv = {10, 0};  // a loaded daemon answers at once
-      ::setsockopt(probe_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      std::string payload;
-      bool eof = false;
-      serve::ScoreResponse resp;
-      if (serve::WriteFrame(probe_fd, frame).ok() &&
-          serve::ReadFrame(probe_fd, &payload, &eof).ok() && !eof &&
-          serve::DecodeScoreResponse(payload, &resp).ok() &&
-          resp.code == serve::ResponseCode::kOk) {
-        cold_start_s = static_cast<double>(NowNs() - exec_ns) / 1e9;
-        tv = {0, 0};
-        ::setsockopt(probe_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        break;
-      }
-      ::close(probe_fd);
-      probe_fd = -1;
-      ::usleep(2000);
-    }
-  }
+  auto cold = ColdStart(&daemon, daemon_argv, args.daemon_log, args.socket,
+                        universe, &probe_fd);
+  if (!cold.ok()) return Fail(cold.status());
+  std::vector<double> cold_starts = {cold.ValueOrDie()};
 
   LoadClient client(universe);
-  st = client.Start(probe_fd, args.socket);
+  Status st = client.Start(probe_fd, args.socket);
   if (!st.ok()) return Fail(st);
 
   const uint64_t seed = args.seed;
@@ -550,13 +559,35 @@ int RunServe(const ServeArgs& args) {
       std::max(kLadderStartShare * overload.ok_per_s, args.nominal_qps / 8),
       [&](double rate) {
         const double step_s = std::clamp(
-            1200.0 / rate, kLadderStepShare * args.seconds, kLadderStepMaxS);
+            kLadderStepMinRequests / rate, kLadderStepShare * args.seconds,
+            kLadderStepMaxS);
         return run_phase(100 + step_no++, rate, step_s);
       });
 
   const int64_t rss_kb = daemon.PeakRssKb();
   const LoadClient::Checks checks = client.checks();
   const Status stopped = daemon.Stop();
+
+  // Further cold starts, each of a fresh daemon stopped at its first OK
+  // score; the served one above was the first.
+  bool extra_clean = true;
+  for (int i = 1; i < args.cold_starts; ++i) {
+    Daemon again;
+    int fd = -1;
+    auto c = ColdStart(&again, daemon_argv,
+                       args.daemon_log + ".cold" + std::to_string(i),
+                       args.socket, universe, &fd);
+    if (!c.ok()) return Fail(c.status());
+    ::close(fd);
+    cold_starts.push_back(c.ValueOrDie());
+    extra_clean = again.Stop().ok() && extra_clean;
+  }
+  std::string cold_json = "[";
+  for (size_t i = 0; i < cold_starts.size(); ++i) {
+    if (i > 0) cold_json += ",";
+    cold_json += JsonNumber(cold_starts[i]);
+  }
+  cold_json += "]";
 
   double ladder_lag = nominal.send_lag_p99_ms;
   std::string steps = "[";
@@ -587,9 +618,9 @@ int RunServe(const ServeArgs& args) {
       .Int("num_tweets", static_cast<int64_t>(universe.num_tweets))
       .Int("num_users", static_cast<int64_t>(universe.num_users))
       .Raw("daemon_args", argv_json)
-      .Num("cold_start_s", cold_start_s)
+      .Raw("cold_starts_s", cold_json)
       .Num("serve_rss_mb", static_cast<double>(rss_kb) / 1024.0)
-      .Bool("daemon_clean_exit", stopped.ok())
+      .Bool("daemon_clean_exit", stopped.ok() && extra_clean)
       .Obj("warmup", JsonObject()
                          .Int("requests", static_cast<int64_t>(warm.size()))
                          .Int("misses", static_cast<int64_t>(warm_misses)))

@@ -34,17 +34,19 @@ inline std::string Quote(const std::string& v) {
   return quoted;
 }
 
-/// Builds one JSON object. Non-finite numbers are written as null.
+/// A JSON number with all its digits; non-finite numbers are null.
+inline std::string JsonNumber(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+/// Builds one JSON object.
 class JsonObject {
  public:
   JsonObject& Num(const std::string& key, double v) {
-    char buf[40];
-    if (std::isfinite(v)) {
-      std::snprintf(buf, sizeof(buf), "%.17g", v);
-    } else {
-      std::snprintf(buf, sizeof(buf), "null");
-    }
-    return Raw(key, buf);
+    return Raw(key, JsonNumber(v));
   }
   JsonObject& Int(const std::string& key, int64_t v) {
     return Raw(key, std::to_string(v));
