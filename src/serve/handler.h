@@ -63,9 +63,10 @@ class Handler {
     }
   }
 
-  /// Merges handler-side stats (dataset shape, cache traffic) into a
-  /// kStats reply. Called concurrently with HandleScore; implementations
-  /// may only expose data that is safe to read concurrently.
+  /// Merges handler-side stats (dataset shape) into the counter overlay of
+  /// a kMetrics reply. Called concurrently with HandleScore;
+  /// implementations may only expose data that is safe to read
+  /// concurrently.
   virtual void AppendStats(std::map<std::string, uint64_t>* stats) const = 0;
 };
 

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cerrno>
 #include <cstring>
+#include <type_traits>
 
 namespace retina::serve {
 
@@ -31,33 +32,17 @@ class Cursor {
  public:
   explicit Cursor(std::string_view data) : data_(data) {}
 
-  bool ReadU8(uint8_t* v) {
-    if (pos_ + 1 > data_.size()) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool ReadU16(uint16_t* v) {
-    if (pos_ + 2 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 2; ++i) {
-      *v |= static_cast<uint16_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
+  /// Reads one little-endian unsigned integer; its width is the width of
+  /// the variable it lands in.
+  template <typename T>
+  bool Read(T* v) {
+    static_assert(std::is_unsigned_v<T>);
+    if (pos_ + sizeof(T) > data_.size()) return false;
+    uint64_t value = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      value |= uint64_t{static_cast<uint8_t>(data_[pos_++])} << (8 * i);
     }
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
-    }
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++])) << (8 * i);
-    }
+    *v = static_cast<T>(value);
     return true;
   }
   bool ReadBytes(size_t n, std::string* out) {
@@ -86,30 +71,40 @@ Status Corrupt(const std::string& what) {
   return Status::IOError("corrupt serve frame: " + what);
 }
 
-/// Validates the fixed header and that the type matches `want`; reports
-/// the frame's (accepted) version so body decoders can branch on it.
-Status ConsumeHeader(Cursor* cur, MessageType want, uint16_t* version_out) {
+/// Validates the fixed header (magic, exact version, reserved byte, a
+/// known type) and returns the message type.
+Result<MessageType> ParseHeader(Cursor* cur) {
   uint32_t magic = 0;
   uint16_t version = 0;
   uint8_t type = 0, reserved = 0;
-  if (!cur->ReadU32(&magic) || !cur->ReadU16(&version) ||
-      !cur->ReadU8(&type) || !cur->ReadU8(&reserved)) {
+  if (!cur->Read(&magic) || !cur->Read(&version) || !cur->Read(&type) ||
+      !cur->Read(&reserved)) {
     return Corrupt("truncated header");
   }
   if (magic != kProtocolMagic) return Corrupt("bad magic");
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     return Corrupt("unsupported version " + std::to_string(version));
   }
   if (reserved != 0) return Corrupt("nonzero reserved byte");
-  if (type != static_cast<uint8_t>(want)) {
-    return Corrupt("unexpected message type " + std::to_string(type));
+  switch (static_cast<MessageType>(type)) {
+    case MessageType::kScoreRequest:
+    case MessageType::kScoreResponse:
+    case MessageType::kMetricsRequest:
+    case MessageType::kMetricsResponse:
+      return static_cast<MessageType>(type);
   }
-  if (version_out != nullptr) *version_out = version;
-  return Status::OK();
+  return Corrupt("unknown message type " + std::to_string(type));
 }
 
+/// ParseHeader plus a check that the type is the one the caller decodes.
 Status ConsumeHeader(Cursor* cur, MessageType want) {
-  return ConsumeHeader(cur, want, nullptr);
+  const Result<MessageType> type = ParseHeader(cur);
+  RETINA_RETURN_NOT_OK(type.status());
+  if (type.ValueOrDie() != want) {
+    return Corrupt("unexpected message type " +
+                   std::to_string(static_cast<int>(type.ValueOrDie())));
+  }
+  return Status::OK();
 }
 
 Status ExpectEnd(const Cursor& cur) {
@@ -119,27 +114,60 @@ Status ExpectEnd(const Cursor& cur) {
   return Status::OK();
 }
 
+// --- kMetricsResponse sections ---------------------------------------------
+//
+// Each section is u32 n | n x (u32 key_len | key | value), keys unique and
+// sorted (the std::map order).
+
+template <typename Map, typename AppendValue>
+void AppendSection(std::string* out, const Map& section,
+                   AppendValue append_value) {
+  AppendU32(out, static_cast<uint32_t>(section.size()));
+  for (const auto& [key, value] : section) {
+    AppendU32(out, static_cast<uint32_t>(key.size()));
+    out->append(key);
+    append_value(out, value);
+  }
+}
+
+void AppendHistogram(std::string* out, const obs::HistogramSnapshot& h) {
+  AppendU64(out, h.count);
+  AppendU64(out, h.sum);
+  AppendU64(out, h.p50);
+  AppendU64(out, h.p95);
+  AppendU64(out, h.p99);
+}
+
+template <typename Map, typename ReadValue>
+Status ReadSection(Cursor* cur, const std::string& what, Map* section,
+                   ReadValue read_value) {
+  uint32_t n = 0;
+  if (!cur->Read(&n)) return Corrupt("truncated metrics " + what + "s");
+  for (uint32_t i = 0; i < n; ++i) {
+    uint32_t key_len = 0;
+    std::string key;
+    typename Map::mapped_type value{};
+    if (!cur->Read(&key_len) || !cur->ReadBytes(key_len, &key) ||
+        !read_value(cur, &value)) {
+      return Corrupt("truncated metrics " + what + " entry");
+    }
+    if (!section->emplace(std::move(key), value).second) {
+      return Corrupt("duplicate metrics " + what + " key");
+    }
+  }
+  return Status::OK();
+}
+
+bool ReadHistogram(Cursor* cur, obs::HistogramSnapshot* h) {
+  return cur->Read(&h->count) && cur->Read(&h->sum) && cur->Read(&h->p50) &&
+         cur->Read(&h->p95) && cur->Read(&h->p99);
+}
+
 }  // namespace
 
 Result<MessageType> PeekMessageType(std::string_view payload) {
   Cursor cur(payload);
-  uint32_t magic = 0;
-  uint16_t version = 0;
-  uint8_t type = 0, reserved = 0;
-  if (!cur.ReadU32(&magic) || !cur.ReadU16(&version) || !cur.ReadU8(&type) ||
-      !cur.ReadU8(&reserved)) {
-    return Corrupt("truncated header");
-  }
-  if (magic != kProtocolMagic) return Corrupt("bad magic");
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    return Corrupt("unsupported version " + std::to_string(version));
-  }
-  if (reserved != 0) return Corrupt("nonzero reserved byte");
-  if (type < static_cast<uint8_t>(MessageType::kScoreRequest) ||
-      type > static_cast<uint8_t>(MessageType::kMetricsResponse)) {
-    return Corrupt("unknown message type " + std::to_string(type));
-  }
-  return static_cast<MessageType>(type);
+  return ParseHeader(&cur);
 }
 
 std::string EncodeScoreRequest(const ScoreRequest& req) {
@@ -170,49 +198,24 @@ std::string EncodeScoreResponse(const ScoreResponse& resp) {
   return out;
 }
 
-std::string EncodeStatsRequest(const StatsRequest& req) {
-  std::string out;
-  AppendHeader(&out, MessageType::kStatsRequest);
-  AppendU64(&out, req.request_id);
-  return out;
-}
-
-std::string EncodeStatsResponse(const StatsResponse& resp) {
-  std::string out;
-  AppendHeader(&out, MessageType::kStatsResponse);
-  AppendU64(&out, resp.request_id);
-  AppendU32(&out, static_cast<uint32_t>(resp.stats.size()));
-  for (const auto& [key, value] : resp.stats) {  // std::map: sorted keys
-    AppendU32(&out, static_cast<uint32_t>(key.size()));
-    out.append(key);
-    AppendU64(&out, value);
-  }
-  return out;
-}
-
 Status DecodeScoreRequest(std::string_view payload, ScoreRequest* out) {
   Cursor cur(payload);
-  uint16_t version = 0;
-  RETINA_RETURN_NOT_OK(
-      ConsumeHeader(&cur, MessageType::kScoreRequest, &version));
+  RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kScoreRequest));
   uint32_t n = 0;
-  if (!cur.ReadU64(&out->request_id) || !cur.ReadU64(&out->tweet_id) ||
-      !cur.ReadU32(&n)) {
+  if (!cur.Read(&out->request_id) || !cur.Read(&out->tweet_id) ||
+      !cur.Read(&n)) {
     return Corrupt("truncated score request");
   }
-  // v1 ends at the user list; v2 appends the 16-byte trace tail.
-  const size_t trace_tail = version >= 2 ? 16 : 0;
-  if (cur.remaining() != 4u * n + trace_tail) {
+  // The size check runs in 64 bits: 4 * n wraps a u32 for n >= 2^30, and a
+  // wrapped check would let a tiny frame request a multi-GiB resize.
+  if (cur.remaining() != uint64_t{4} * n + 16) {  // users + trace tail
     return Corrupt("score request user count disagrees with body size");
   }
   out->users.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
-    if (!cur.ReadU32(&out->users[i])) return Corrupt("truncated user list");
+    if (!cur.Read(&out->users[i])) return Corrupt("truncated user list");
   }
-  out->trace_id = 0;
-  out->span_id = 0;
-  if (version >= 2 &&
-      (!cur.ReadU64(&out->trace_id) || !cur.ReadU64(&out->span_id))) {
+  if (!cur.Read(&out->trace_id) || !cur.Read(&out->span_id)) {
     return Corrupt("truncated score request trace context");
   }
   return ExpectEnd(cur);
@@ -222,7 +225,7 @@ Status DecodeScoreResponse(std::string_view payload, ScoreResponse* out) {
   Cursor cur(payload);
   RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kScoreResponse));
   uint8_t code = 0;
-  if (!cur.ReadU64(&out->request_id) || !cur.ReadU8(&code)) {
+  if (!cur.Read(&out->request_id) || !cur.Read(&code)) {
     return Corrupt("truncated score response");
   }
   if (code > static_cast<uint8_t>(ResponseCode::kError)) {
@@ -232,50 +235,20 @@ Status DecodeScoreResponse(std::string_view payload, ScoreResponse* out) {
   out->scores.clear();
   out->message.clear();
   uint32_t n = 0;
-  if (!cur.ReadU32(&n)) return Corrupt("truncated score response");
+  if (!cur.Read(&n)) return Corrupt("truncated score response");
   if (out->code == ResponseCode::kOk) {
-    if (cur.remaining() != 8u * n) {
+    if (cur.remaining() != uint64_t{8} * n) {  // 64-bit: 8 * n wraps a u32
       return Corrupt("score count disagrees with body size");
     }
     out->scores.resize(n);
     for (uint32_t i = 0; i < n; ++i) {
       uint64_t bits = 0;
-      if (!cur.ReadU64(&bits)) return Corrupt("truncated score list");
+      if (!cur.Read(&bits)) return Corrupt("truncated score list");
       out->scores[i] = std::bit_cast<double>(bits);
     }
   } else {
     if (!cur.ReadBytes(n, &out->message)) {
       return Corrupt("truncated response message");
-    }
-  }
-  return ExpectEnd(cur);
-}
-
-Status DecodeStatsRequest(std::string_view payload, StatsRequest* out) {
-  Cursor cur(payload);
-  RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kStatsRequest));
-  if (!cur.ReadU64(&out->request_id)) return Corrupt("truncated stats request");
-  return ExpectEnd(cur);
-}
-
-Status DecodeStatsResponse(std::string_view payload, StatsResponse* out) {
-  Cursor cur(payload);
-  RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kStatsResponse));
-  uint32_t n = 0;
-  if (!cur.ReadU64(&out->request_id) || !cur.ReadU32(&n)) {
-    return Corrupt("truncated stats response");
-  }
-  out->stats.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t key_len = 0;
-    if (!cur.ReadU32(&key_len)) return Corrupt("truncated stats entry");
-    std::string key;
-    uint64_t value = 0;
-    if (!cur.ReadBytes(key_len, &key) || !cur.ReadU64(&value)) {
-      return Corrupt("truncated stats entry");
-    }
-    if (!out->stats.emplace(std::move(key), value).second) {
-      return Corrupt("duplicate stats key");
     }
   }
   return ExpectEnd(cur);
@@ -293,47 +266,25 @@ std::string EncodeMetricsResponse(const MetricsResponse& resp) {
   AppendHeader(&out, MessageType::kMetricsResponse);
   AppendU64(&out, resp.request_id);
   const obs::RegistrySnapshot& snap = resp.snapshot;
-  AppendU32(&out, static_cast<uint32_t>(snap.counters.size()));
-  for (const auto& [key, value] : snap.counters) {  // std::map: sorted keys
-    AppendU32(&out, static_cast<uint32_t>(key.size()));
-    out.append(key);
-    AppendU64(&out, value);
-  }
-  AppendU32(&out, static_cast<uint32_t>(snap.gauges.size()));
-  for (const auto& [key, value] : snap.gauges) {
-    AppendU32(&out, static_cast<uint32_t>(key.size()));
-    out.append(key);
-    AppendU64(&out, static_cast<uint64_t>(value));  // two's complement
-  }
-  AppendU32(&out, static_cast<uint32_t>(snap.histograms.size()));
-  for (const auto& [key, h] : snap.histograms) {
-    AppendU32(&out, static_cast<uint32_t>(key.size()));
-    out.append(key);
-    AppendU64(&out, h.count);
-    AppendU64(&out, h.sum);
-    AppendU64(&out, h.p50);
-    AppendU64(&out, h.p95);
-    AppendU64(&out, h.p99);
-  }
-  AppendU32(&out, static_cast<uint32_t>(snap.windows.size()));
-  for (const auto& [key, w] : snap.windows) {
-    AppendU32(&out, static_cast<uint32_t>(key.size()));
-    out.append(key);
-    AppendU64(&out, w.ticks);
-    AppendU64(&out, w.slots);
-    AppendU64(&out, w.window.count);
-    AppendU64(&out, w.window.sum);
-    AppendU64(&out, w.window.p50);
-    AppendU64(&out, w.window.p95);
-    AppendU64(&out, w.window.p99);
-  }
+  AppendSection(&out, snap.counters,
+                [](std::string* o, uint64_t v) { AppendU64(o, v); });
+  AppendSection(&out, snap.gauges, [](std::string* o, int64_t v) {
+    AppendU64(o, static_cast<uint64_t>(v));  // two's complement
+  });
+  AppendSection(&out, snap.histograms, AppendHistogram);
+  AppendSection(&out, snap.windows,
+                [](std::string* o, const obs::WindowSnapshot& w) {
+                  AppendU64(o, w.ticks);
+                  AppendU64(o, w.slots);
+                  AppendHistogram(o, w.window);
+                });
   return out;
 }
 
 Status DecodeMetricsRequest(std::string_view payload, MetricsRequest* out) {
   Cursor cur(payload);
   RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kMetricsRequest));
-  if (!cur.ReadU64(&out->request_id)) {
+  if (!cur.Read(&out->request_id)) {
     return Corrupt("truncated metrics request");
   }
   return ExpectEnd(cur);
@@ -342,73 +293,28 @@ Status DecodeMetricsRequest(std::string_view payload, MetricsRequest* out) {
 Status DecodeMetricsResponse(std::string_view payload, MetricsResponse* out) {
   Cursor cur(payload);
   RETINA_RETURN_NOT_OK(ConsumeHeader(&cur, MessageType::kMetricsResponse));
-  if (!cur.ReadU64(&out->request_id)) {
+  if (!cur.Read(&out->request_id)) {
     return Corrupt("truncated metrics response");
   }
   obs::RegistrySnapshot& snap = out->snapshot;
   snap = obs::RegistrySnapshot();
-
-  uint32_t n = 0;
-  if (!cur.ReadU32(&n)) return Corrupt("truncated metrics counters");
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t key_len = 0;
-    std::string key;
-    uint64_t value = 0;
-    if (!cur.ReadU32(&key_len) || !cur.ReadBytes(key_len, &key) ||
-        !cur.ReadU64(&value)) {
-      return Corrupt("truncated metrics counter entry");
-    }
-    if (!snap.counters.emplace(std::move(key), value).second) {
-      return Corrupt("duplicate metrics counter key");
-    }
-  }
-
-  if (!cur.ReadU32(&n)) return Corrupt("truncated metrics gauges");
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t key_len = 0;
-    std::string key;
-    uint64_t bits = 0;
-    if (!cur.ReadU32(&key_len) || !cur.ReadBytes(key_len, &key) ||
-        !cur.ReadU64(&bits)) {
-      return Corrupt("truncated metrics gauge entry");
-    }
-    if (!snap.gauges.emplace(std::move(key), static_cast<int64_t>(bits))
-             .second) {
-      return Corrupt("duplicate metrics gauge key");
-    }
-  }
-
-  if (!cur.ReadU32(&n)) return Corrupt("truncated metrics histograms");
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t key_len = 0;
-    std::string key;
-    obs::HistogramSnapshot h;
-    if (!cur.ReadU32(&key_len) || !cur.ReadBytes(key_len, &key) ||
-        !cur.ReadU64(&h.count) || !cur.ReadU64(&h.sum) ||
-        !cur.ReadU64(&h.p50) || !cur.ReadU64(&h.p95) || !cur.ReadU64(&h.p99)) {
-      return Corrupt("truncated metrics histogram entry");
-    }
-    if (!snap.histograms.emplace(std::move(key), h).second) {
-      return Corrupt("duplicate metrics histogram key");
-    }
-  }
-
-  if (!cur.ReadU32(&n)) return Corrupt("truncated metrics windows");
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t key_len = 0;
-    std::string key;
-    obs::WindowSnapshot w;
-    if (!cur.ReadU32(&key_len) || !cur.ReadBytes(key_len, &key) ||
-        !cur.ReadU64(&w.ticks) || !cur.ReadU64(&w.slots) ||
-        !cur.ReadU64(&w.window.count) || !cur.ReadU64(&w.window.sum) ||
-        !cur.ReadU64(&w.window.p50) || !cur.ReadU64(&w.window.p95) ||
-        !cur.ReadU64(&w.window.p99)) {
-      return Corrupt("truncated metrics window entry");
-    }
-    if (!snap.windows.emplace(std::move(key), w).second) {
-      return Corrupt("duplicate metrics window key");
-    }
-  }
+  RETINA_RETURN_NOT_OK(ReadSection(
+      &cur, "counter", &snap.counters,
+      [](Cursor* c, uint64_t* v) { return c->Read(v); }));
+  RETINA_RETURN_NOT_OK(
+      ReadSection(&cur, "gauge", &snap.gauges, [](Cursor* c, int64_t* v) {
+        uint64_t bits = 0;
+        if (!c->Read(&bits)) return false;
+        *v = static_cast<int64_t>(bits);
+        return true;
+      }));
+  RETINA_RETURN_NOT_OK(
+      ReadSection(&cur, "histogram", &snap.histograms, ReadHistogram));
+  RETINA_RETURN_NOT_OK(ReadSection(
+      &cur, "window", &snap.windows, [](Cursor* c, obs::WindowSnapshot* w) {
+        return c->Read(&w->ticks) && c->Read(&w->slots) &&
+               ReadHistogram(c, &w->window);
+      }));
   return ExpectEnd(cur);
 }
 
@@ -469,9 +375,7 @@ Status ReadFrame(int fd, std::string* payload, bool* eof) {
   }
   if (got < sizeof(len_buf)) return Corrupt("EOF inside frame length");
   uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<uint8_t>(len_buf[i])) << (8 * i);
-  }
+  Cursor(std::string_view(len_buf, sizeof(len_buf))).Read(&len);
   if (len == 0 || len > kMaxFramePayloadBytes) {
     return Corrupt("frame length " + std::to_string(len) + " out of range");
   }

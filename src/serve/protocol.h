@@ -1,5 +1,5 @@
-// retina::serve wire protocol — versioned, length-prefixed binary frames
-// over a stream socket.
+// retina::serve wire protocol — length-prefixed binary frames over a
+// stream socket, at exactly one protocol version.
 //
 // Framing: every message travels as
 //
@@ -16,14 +16,10 @@
 // followed by the body of the given type (all integers little-endian):
 //
 //   kScoreRequest:   u64 request_id | u64 tweet_id | u32 n | n x u32 user |
-//                      u64 trace_id | u64 span_id     (v2; v1 ends at the
-//                      user list — decoders accept both, zero = no trace)
+//                      u64 trace_id | u64 span_id     (zero = no trace)
 //   kScoreResponse:  u64 request_id | u8 code |
 //                      code==kOk:  u32 n | n x u64 score-bit-pattern
 //                      otherwise:  u32 msg_len | msg bytes
-//   kStatsRequest:   u64 request_id
-//   kStatsResponse:  u64 request_id | u32 n | n x (u32 key_len | key |
-//                      u64 value), keys unique and sorted
 //   kMetricsRequest: u64 request_id
 //   kMetricsResponse:u64 request_id |
 //                      u32 n | n x (u32 key_len | key | u64 value)
@@ -39,10 +35,9 @@
 //                        windowed histograms
 //                      keys unique and sorted within each section
 //
-// Version history: v1 framed kScoreRequest..kStatsResponse; v2 added the
-// optional trace tail on kScoreRequest and the kMetrics pair. Decoders
-// accept every version in [kMinProtocolVersion, kProtocolVersion];
-// encoders always emit kProtocolVersion.
+// Version policy: exactly kProtocolVersion (2). Encoders emit it and
+// decoders reject every other version. Type codes 3 and 4 are unknown
+// types; v1 used them, so leave them unassigned.
 //
 // Scores cross the wire as IEEE-754 f64 bit patterns in a u64, so a
 // client reassembles exactly the doubles the engine produced — the serve
@@ -58,7 +53,6 @@
 #define RETINA_SERVE_PROTOCOL_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,9 +65,6 @@ namespace retina::serve {
 
 inline constexpr uint32_t kProtocolMagic = 0x50544552;  // "RETP" in LE bytes
 inline constexpr uint16_t kProtocolVersion = 2;
-/// Oldest version decoders still accept (v1 = no score-request trace tail,
-/// no metrics messages).
-inline constexpr uint16_t kMinProtocolVersion = 1;
 /// Upper bound on a frame payload; a length prefix above this is treated
 /// as stream corruption rather than an allocation request.
 inline constexpr uint32_t kMaxFramePayloadBytes = 16u << 20;
@@ -83,8 +74,6 @@ inline constexpr size_t kPayloadHeaderBytes = 8;
 enum class MessageType : uint8_t {
   kScoreRequest = 1,
   kScoreResponse = 2,
-  kStatsRequest = 3,
-  kStatsResponse = 4,
   kMetricsRequest = 5,
   kMetricsResponse = 6,
 };
@@ -98,7 +87,7 @@ enum class ResponseCode : uint8_t {
 /// Score `users` as retweet candidates of `tweet_id`. `request_id` is an
 /// opaque client token echoed in the response. `trace_id`/`span_id` carry
 /// the client's trace context so daemon spans parent under the client's
-/// trace; zero means absent (v1 clients, or tracing off).
+/// trace; zero means absent (tracing off).
 struct ScoreRequest {
   uint64_t request_id = 0;
   uint64_t tweet_id = 0;
@@ -114,27 +103,16 @@ struct ScoreResponse {
   std::string message;  ///< meaningful iff code != kOk
 };
 
-struct StatsRequest {
-  uint64_t request_id = 0;
-};
-
-/// Server-side introspection: dataset shape (num_tweets, num_users) so a
-/// client can build valid requests without loading the world, plus live
-/// admission/drain counters for the load driver's shed and queue-depth
-/// columns.
-struct StatsResponse {
-  uint64_t request_id = 0;
-  std::map<std::string, uint64_t> stats;
-};
-
 struct MetricsRequest {
   uint64_t request_id = 0;
 };
 
-/// Typed registry snapshot for live monitoring: obs counters/gauges (with
-/// the server's own admission stats merged in, so the view stays useful
-/// when obs is disabled), cumulative histogram quantiles, and windowed
-/// quantiles over the daemon's recent ticks.
+/// The daemon's one introspection reply: obs counters/gauges, cumulative
+/// histogram quantiles, and windowed quantiles over the daemon's recent
+/// ticks. The counter map also carries the server's admission stats
+/// (serve.*) and the handler's dataset shape (handler.num_tweets,
+/// handler.num_users), overlaid so they stay live when obs is disabled —
+/// a client learns everything it needs to build valid requests from it.
 struct MetricsResponse {
   uint64_t request_id = 0;
   obs::RegistrySnapshot snapshot;
@@ -145,15 +123,11 @@ Result<MessageType> PeekMessageType(std::string_view payload);
 
 std::string EncodeScoreRequest(const ScoreRequest& req);
 std::string EncodeScoreResponse(const ScoreResponse& resp);
-std::string EncodeStatsRequest(const StatsRequest& req);
-std::string EncodeStatsResponse(const StatsResponse& resp);
 std::string EncodeMetricsRequest(const MetricsRequest& req);
 std::string EncodeMetricsResponse(const MetricsResponse& resp);
 
 Status DecodeScoreRequest(std::string_view payload, ScoreRequest* out);
 Status DecodeScoreResponse(std::string_view payload, ScoreResponse* out);
-Status DecodeStatsRequest(std::string_view payload, StatsRequest* out);
-Status DecodeStatsResponse(std::string_view payload, StatsResponse* out);
 Status DecodeMetricsRequest(std::string_view payload, MetricsRequest* out);
 Status DecodeMetricsResponse(std::string_view payload, MetricsResponse* out);
 

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -64,6 +65,7 @@ Server::ObsHooks Server::ObsHooks::Resolve() {
   h.shed = reg.GetCounter("serve.shed");
   h.errors = reg.GetCounter("serve.errors");
   h.protocol_errors = reg.GetCounter("serve.protocol_errors");
+  h.accept_errors = reg.GetCounter("serve.accept_errors");
   h.coalesce_batches = reg.GetCounter("serve.coalesce.batches");
   h.coalesce_batched_requests =
       reg.GetCounter("serve.coalesce.batched_requests");
@@ -265,9 +267,10 @@ void Server::RequestShutdown() {
 Status Server::Wait() {
   if (!started_) return Status::FailedPrecondition("server not started");
   accept_thread_.join();
-  // The accept thread only exits once draining_ is set, and it joins no
+  // The accept thread only exits once draining_ is set, and it spawns no
   // new readers after that; reader threads exit on the same flag.
-  for (std::thread& t : reader_threads_) t.join();
+  for (Reader& reader : readers_) reader.thread.join();
+  readers_.clear();
   // Nothing can enqueue anymore: close the queue so workers drain the
   // admitted backlog and exit.
   queue_.Close();
@@ -311,6 +314,7 @@ void Server::AcceptLoop() {
       ++nfds;
     }
     const int pr = ::poll(pfds, nfds, kPollMs);
+    ReapReaders();
     if (pr <= 0) continue;  // timeout, EINTR: re-check the drain flags
     for (nfds_t i = 0; i < nfds; ++i) {
       if ((pfds[i].revents & POLLIN) == 0) continue;
@@ -324,9 +328,7 @@ void Server::AcceptLoop() {
       }
       connections_.fetch_add(1, std::memory_order_relaxed);
       hooks_.connections->Add();
-      auto conn = std::make_shared<Conn>(cfd);
-      std::lock_guard<std::mutex> lock(readers_mu_);
-      reader_threads_.emplace_back(&Server::ReaderLoop, this, std::move(conn));
+      SpawnReader(std::make_shared<Conn>(cfd));
     }
   }
   if (listen_fd_ >= 0) {
@@ -340,7 +342,34 @@ void Server::AcceptLoop() {
   }
 }
 
-void Server::ReaderLoop(std::shared_ptr<Conn> conn) {
+void Server::ReapReaders() {
+  for (auto it = readers_.begin(); it != readers_.end();) {
+    if (it->done.load(std::memory_order_acquire)) {
+      it->thread.join();
+      it = readers_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void Server::SpawnReader(std::shared_ptr<Conn> conn) {
+  Reader& reader = readers_.emplace_back();
+  try {
+    reader.thread = std::thread(&Server::ReaderLoop, this, conn, &reader.done);
+  } catch (const std::system_error& e) {
+    // Out of threads (or memory for a stack): refuse this one connection
+    // rather than let the exception take the daemon down. Dropping the
+    // last Conn reference closes the socket.
+    readers_.pop_back();
+    accept_errors_.fetch_add(1, std::memory_order_relaxed);
+    hooks_.accept_errors->Add();
+    RETINA_LOG(Warning) << "serve: closing connection, reader thread failed: "
+                        << e.what();
+  }
+}
+
+void Server::ReaderLoop(std::shared_ptr<Conn> conn, std::atomic<bool>* done) {
   std::string payload;
   while (!draining()) {
     struct pollfd pfd;
@@ -350,42 +379,32 @@ void Server::ReaderLoop(std::shared_ptr<Conn> conn) {
     const int pr = ::poll(&pfd, 1, kPollMs);
     if (pr <= 0) continue;
     bool eof = false;
-    const Status st = ReadFrame(conn->fd, &payload, &eof);
+    Status st = ReadFrame(conn->fd, &payload, &eof);
+    if (st.ok() && eof) break;
+    if (st.ok()) st = HandleFrame(conn, payload);
     if (!st.ok()) {
-      // The byte stream is out of sync; nothing after this point can be
-      // framed reliably, so the only safe move is to drop the connection.
+      // A malformed frame or an out-of-sync byte stream: nothing after
+      // this point can be framed reliably, so drop the connection.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       hooks_.protocol_errors->Add();
       RETINA_LOG(Warning) << "serve: " << st.ToString();
       break;
     }
-    if (eof) break;
-    if (!HandleFrame(conn, payload)) break;
   }
   ::shutdown(conn->fd, SHUT_RD);
   // The Conn (and its fd) stays alive until the last queued WorkItem's
   // response has been written; the shared_ptr does the bookkeeping.
+  done->store(true, std::memory_order_release);
 }
 
-bool Server::HandleFrame(const std::shared_ptr<Conn>& conn,
-                         const std::string& payload) {
+Status Server::HandleFrame(const std::shared_ptr<Conn>& conn,
+                           const std::string& payload) {
   const Result<MessageType> type = PeekMessageType(payload);
-  if (!type.ok()) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    hooks_.protocol_errors->Add();
-    RETINA_LOG(Warning) << "serve: " << type.status().ToString();
-    return false;
-  }
+  RETINA_RETURN_NOT_OK(type.status());
   switch (type.ValueOrDie()) {
     case MessageType::kScoreRequest: {
       ScoreRequest req;
-      const Status st = DecodeScoreRequest(payload, &req);
-      if (!st.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        hooks_.protocol_errors->Add();
-        RETINA_LOG(Warning) << "serve: " << st.ToString();
-        return false;
-      }
+      RETINA_RETURN_NOT_OK(DecodeScoreRequest(payload, &req));
       const uint64_t request_id = req.request_id;
       WorkItem item;
       item.conn = conn;
@@ -409,8 +428,8 @@ bool Server::HandleFrame(const std::shared_ptr<Conn>& conn,
         resp.request_id = request_id;
         resp.code = ResponseCode::kShed;
         resp.message = "admission queue full";
-        WriteResponse(conn.get(), resp);
-        return true;
+        WritePayload(conn.get(), EncodeScoreResponse(resp));
+        return Status::OK();
       }
       requests_.fetch_add(1, std::memory_order_relaxed);
       hooks_.requests->Add();
@@ -420,58 +439,26 @@ bool Server::HandleFrame(const std::shared_ptr<Conn>& conn,
                                  peak, depth, std::memory_order_relaxed)) {
       }
       hooks_.queue_depth_peak->UpdateMax(static_cast<int64_t>(depth));
-      return true;
-    }
-    case MessageType::kStatsRequest: {
-      StatsRequest req;
-      const Status st = DecodeStatsRequest(payload, &req);
-      if (!st.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        hooks_.protocol_errors->Add();
-        return false;
-      }
-      StatsResponse resp;
-      resp.request_id = req.request_id;
-      SnapshotStats(&resp.stats);
-      handler_->AppendStats(&resp.stats);
-      const std::string encoded = EncodeStatsResponse(resp);
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      const Status wst = WriteFrame(conn->fd, encoded);
-      if (!wst.ok()) write_errors_.fetch_add(1, std::memory_order_relaxed);
-      return true;
+      return Status::OK();
     }
     case MessageType::kMetricsRequest: {
       MetricsRequest req;
-      const Status st = DecodeMetricsRequest(payload, &req);
-      if (!st.ok()) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        hooks_.protocol_errors->Add();
-        return false;
-      }
+      RETINA_RETURN_NOT_OK(DecodeMetricsRequest(payload, &req));
       MetricsResponse resp;
       resp.request_id = req.request_id;
       resp.snapshot = obs::Registry::Global().TakeSnapshot();
       // Overlay the authoritative server-owned stats (and the handler's)
       // onto the counter map: identical values when obs is on, and the
       // only live values when it is disabled or compiled out.
-      std::map<std::string, uint64_t> stats;
-      SnapshotStats(&stats);
-      handler_->AppendStats(&stats);
-      for (const auto& [key, value] : stats) {
-        resp.snapshot.counters[key] = value;
-      }
-      const std::string encoded = EncodeMetricsResponse(resp);
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      const Status wst = WriteFrame(conn->fd, encoded);
-      if (!wst.ok()) write_errors_.fetch_add(1, std::memory_order_relaxed);
-      return true;
+      SnapshotStats(&resp.snapshot.counters);
+      handler_->AppendStats(&resp.snapshot.counters);
+      WritePayload(conn.get(), EncodeMetricsResponse(resp));
+      return Status::OK();
     }
     default:
       // A client pushing response-typed frames at the server is as
       // out-of-contract as garbage bytes.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      hooks_.protocol_errors->Add();
-      return false;
+      return Status::InvalidArgument("response-typed frame from a client");
   }
 }
 
@@ -550,7 +537,7 @@ void Server::DispatchGroup(size_t worker, std::vector<WorkItem>* items,
       hooks_.errors->Add();
     }
     WorkItem& item = (*items)[indices[i]];
-    WriteResponse(item.conn.get(), resp);
+    WritePayload(item.conn.get(), EncodeScoreResponse(resp));
     responses_.fetch_add(1, std::memory_order_relaxed);
     hooks_.responses->Add();
     item = WorkItem();  // release the Conn reference; marks the slot done
@@ -594,10 +581,9 @@ void Server::MaybeTickMetrics(size_t n_done) {
   }
 }
 
-void Server::WriteResponse(Conn* conn, const ScoreResponse& resp) {
-  const std::string encoded = EncodeScoreResponse(resp);
+void Server::WritePayload(Conn* conn, const std::string& payload) {
   std::lock_guard<std::mutex> lock(conn->write_mu);
-  const Status st = WriteFrame(conn->fd, encoded);
+  const Status st = WriteFrame(conn->fd, payload);
   if (!st.ok()) {
     // The client went away before its answer; all we owe the rest of the
     // system is the count.
@@ -615,6 +601,8 @@ void Server::SnapshotStats(std::map<std::string, uint64_t>* stats) const {
       protocol_errors_.load(std::memory_order_relaxed);
   (*stats)["serve.write_errors"] =
       write_errors_.load(std::memory_order_relaxed);
+  (*stats)["serve.accept_errors"] =
+      accept_errors_.load(std::memory_order_relaxed);
   (*stats)["serve.queue_depth_peak"] =
       queue_depth_peak_.load(std::memory_order_relaxed);
   (*stats)["serve.queue_capacity"] = queue_.capacity();

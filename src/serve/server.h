@@ -10,7 +10,8 @@
 //   reader threads     decode frames. kScoreRequest -> TryPush onto the
 //                      admission queue, answering kShed immediately when
 //                      it is full (shed-on-full keeps overload latency
-//                      bounded); kStatsRequest answered inline.
+//                      bounded); kMetricsRequest answered inline. The
+//                      accept thread joins each reader once it exits.
 //   dispatcher thread  runs pool->Run(N, worker-loop) on a dedicated
 //                      N-thread retina::par pool. Each worker loop pops
 //                      until the queue closes. Because the loops execute
@@ -55,15 +56,13 @@
 //   --trace-out. Admitted requests are never dropped: an item either
 //   gets a response or was shed at admission with an immediate reply.
 //
-// Stats served over kStats come from server-owned atomics (not
-// retina::obs), so the protocol behaves identically when obs is
-// disabled or compiled out — observers never change behavior.
-//
 // Live telemetry (kMetrics + the metrics cadence): kMetricsRequest is
-// answered inline on the reader thread, like kStats, with a typed
-// obs::RegistrySnapshot — the server-owned stats (and the handler's) are
-// overlaid onto the counter map so the reply stays authoritative with obs
-// off. The dispatcher drives a logical metrics clock: every
+// answered inline on the reader thread with a typed obs::RegistrySnapshot.
+// The server-owned stats (SnapshotStats: plain atomics, not retina::obs)
+// and the handler's (Handler::AppendStats: dataset shape) are overlaid
+// onto its counter map, so the reply stays authoritative when obs is
+// disabled or compiled out — observers never change behavior. The
+// dispatcher drives a logical metrics clock: every
 // metrics_tick_requests handled requests it rotates the windowed
 // histograms (so SnapshotWindow answers "p99 over the recent past"),
 // re-samples the process gauges, and — when prom_out is set — atomically
@@ -75,6 +74,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -181,21 +181,37 @@ class Server {
     uint64_t enqueue_ns = 0;
   };
 
+  /// A connection's reader thread; `done` flips as its last act, so the
+  /// accept thread can join it without blocking.
+  struct Reader {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   Status StartUnixListener();
   Status StartTcpListener();
   void AcceptLoop();
-  void ReaderLoop(std::shared_ptr<Conn> conn);
+  /// Accept thread only: joins and forgets readers that have exited, so a
+  /// long-lived daemon holds one thread (and stack) per open connection,
+  /// not per connection ever accepted.
+  void ReapReaders();
+  /// Accept thread only: starts `conn`'s reader. A failed thread creation
+  /// closes that connection and counts serve.accept_errors.
+  void SpawnReader(std::shared_ptr<Conn> conn);
+  void ReaderLoop(std::shared_ptr<Conn> conn, std::atomic<bool>* done);
   void DispatchLoop();
   void WorkerLoop(size_t worker);
   /// Dispatches one coalesced same-tweet group (`items[indices]`) as a
   /// single handler call and fans the responses back out.
   void DispatchGroup(size_t worker, std::vector<WorkItem>* items,
                      const std::vector<size_t>& indices);
-  /// Reader-side handling of a single decoded frame; false closes the
-  /// connection (protocol error or unsupported type).
-  bool HandleFrame(const std::shared_ptr<Conn>& conn,
-                   const std::string& payload);
-  void WriteResponse(Conn* conn, const ScoreResponse& resp);
+  /// Reader-side handling of a single frame; an error (malformed frame or
+  /// a type clients may not send) closes the connection.
+  Status HandleFrame(const std::shared_ptr<Conn>& conn,
+                     const std::string& payload);
+  /// Writes one encoded response frame; a vanished client only counts
+  /// serve.write_errors.
+  void WritePayload(Conn* conn, const std::string& payload);
   /// Advances the logical metrics clock by `n_done` handled requests and,
   /// on a cadence boundary, ticks the window ring, re-samples process
   /// gauges, and refreshes the Prometheus file.
@@ -214,11 +230,12 @@ class Server {
 
   std::thread accept_thread_;
   std::thread dispatch_thread_;
-  std::mutex readers_mu_;  ///< guards reader_threads_ growth vs. join
-  std::vector<std::thread> reader_threads_;
+  /// Owned by the accept thread; Wait() takes over after joining it. A
+  /// list, so each Reader's `done` flag stays put while others are erased.
+  std::list<Reader> readers_;
 
   // Authoritative traffic counters: plain atomics, deliberately not obs
-  // instruments, so kStats replies are identical with obs disabled.
+  // instruments, so the kMetrics overlay is identical with obs disabled.
   std::atomic<uint64_t> connections_{0};
   std::atomic<uint64_t> requests_{0};   ///< admitted score requests
   std::atomic<uint64_t> responses_{0};  ///< score responses written
@@ -226,6 +243,7 @@ class Server {
   std::atomic<uint64_t> errors_{0};  ///< kError responses (bad requests)
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> write_errors_{0};
+  std::atomic<uint64_t> accept_errors_{0};  ///< reader threads not started
   std::atomic<uint64_t> queue_depth_peak_{0};
   /// Coalescing outcome counters: a "batch" is a fused handler call
   /// covering >= 2 requests; batched_requests is the requests those calls
@@ -245,6 +263,7 @@ class Server {
     obs::Counter* shed;
     obs::Counter* errors;
     obs::Counter* protocol_errors;
+    obs::Counter* accept_errors;
     obs::Counter* coalesce_batches;
     obs::Counter* coalesce_batched_requests;
     obs::Gauge* queue_depth_peak;

@@ -310,8 +310,9 @@ endif()
 
 # ---- BENCH_serve.json shape: >= 3 points; nothing dropped anywhere (a
 # request is answered or shed, never lost); the lowest-QPS point runs
-# entirely unshed. These rest on the protocol's kStats counters and the
-# driver's own accounting, so they hold with obs compiled out too.
+# entirely unshed. These rest on the server-owned counters in the kMetrics
+# reply and the driver's own accounting, so they hold with obs compiled
+# out too.
 file(READ "${WORK_DIR}/BENCH_serve.json" bench_json)
 if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   string(JSON n_points ERROR_VARIABLE json_err LENGTH "${bench_json}" points)

@@ -1,8 +1,9 @@
 // Tests for the retina::serve subsystem: the wire protocol's round-trip
-// and corruption matrix, the bounded admission queue, the RequestHandler's
-// byte-identity to a direct in-process ScoringEngine, and the Server's
-// end-to-end behavior over a real Unix-domain socket — concurrent
-// clients, deterministic shed under a wedged worker, and the graceful
+// and corruption matrix, the client address parser, the bounded
+// admission queue, the RequestHandler's byte-identity to a direct
+// in-process ScoringEngine, and the Server's end-to-end behavior over a
+// real Unix-domain socket — concurrent clients, deterministic shed under
+// a wedged worker, rejected frames, connection churn, and the graceful
 // drain (programmatic and via SIGTERM).
 
 #include <gtest/gtest.h>
@@ -21,8 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -38,6 +37,7 @@
 #include "core/scoring_engine.h"
 #include "datagen/world.h"
 #include "hatedetect/annotation.h"
+#include "serve/client.h"
 #include "serve/handler.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -109,23 +109,6 @@ TEST(ProtocolTest, ErrorResponseCarriesMessage) {
   }
 }
 
-TEST(ProtocolTest, StatsRoundTrips) {
-  StatsResponse resp;
-  resp.request_id = 9;
-  resp.stats = {{"serve.requests", 10},
-                {"serve.shed", 0},
-                {"handler.num_users", 1u << 20}};
-  StatsResponse out;
-  ASSERT_TRUE(DecodeStatsResponse(EncodeStatsResponse(resp), &out).ok());
-  EXPECT_EQ(out.stats, resp.stats);
-
-  StatsRequest sreq;
-  sreq.request_id = 11;
-  StatsRequest sout;
-  ASSERT_TRUE(DecodeStatsRequest(EncodeStatsRequest(sreq), &sout).ok());
-  EXPECT_EQ(sout.request_id, 11u);
-}
-
 TEST(ProtocolTest, ScoreRequestCarriesTraceContext) {
   ScoreRequest req;
   req.request_id = 8;
@@ -148,41 +131,90 @@ TEST(ProtocolTest, ScoreRequestCarriesTraceContext) {
   EXPECT_EQ(out.span_id, 0u);
 }
 
-/// Hand-crafts the version-1 encoding of a score request (no 16-byte
-/// trace tail) from the current encoder's output: strip the tail, patch
-/// the header's u16 version field down to 1.
-std::string EncodeScoreRequestV1(const ScoreRequest& req) {
-  std::string payload = EncodeScoreRequest(req);
-  payload.resize(payload.size() - 16);
-  payload[4] = 1;  // version lo byte
-  payload[5] = 0;  // version hi byte
-  return payload;
-}
+/// Frames the current encoders no longer emit, each of which must decode
+/// to a Status error: a v1 score request (no trace tail), a v1 header on
+/// an otherwise valid frame, the retired stats type codes 3 and 4, and a
+/// v2 score request missing its trace tail.
+struct RejectedFrame {
+  const char* what;
+  std::string payload;
+};
 
-TEST(ProtocolTest, V1ScoreRequestFramesStillDecode) {
+std::vector<RejectedFrame> RetiredFrames() {
   ScoreRequest req;
   req.request_id = 31;
   req.tweet_id = 6;
   req.users = {4, 5};
-  req.trace_id = 0xDEAD;  // encoder writes it; the v1 frame drops it
-  req.span_id = 0xBEEF;
-  const std::string v1 = EncodeScoreRequestV1(req);
-  ScoreRequest out;
-  out.trace_id = 1;
-  out.span_id = 1;
-  ASSERT_TRUE(DecodeScoreRequest(v1, &out).ok());
-  EXPECT_EQ(out.request_id, req.request_id);
-  EXPECT_EQ(out.tweet_id, req.tweet_id);
-  EXPECT_EQ(out.users, req.users);
-  EXPECT_EQ(out.trace_id, 0u) << "v1 frames carry no trace context";
-  EXPECT_EQ(out.span_id, 0u);
+  const std::string v2 = EncodeScoreRequest(req);
+  std::vector<RejectedFrame> frames;
+  std::string v1 = v2.substr(0, v2.size() - 16);
+  v1[4] = 1;  // version lo byte
+  v1[5] = 0;  // version hi byte
+  frames.push_back({"v1 score request", v1});
+  std::string v1_header = v2;
+  v1_header[4] = 1;
+  frames.push_back({"v1 header on a v2 body", v1_header});
+  for (const char type : {'\x03', '\x04'}) {
+    std::string stats = EncodeMetricsRequest(MetricsRequest{1});
+    stats[6] = type;
+    frames.push_back({type == 3 ? "type 3" : "type 4", stats});
+  }
+  frames.push_back({"score request without trace tail",
+                    v2.substr(0, v2.size() - 16)});
+  return frames;
+}
 
-  // A frame claiming v1 but carrying the v2 trace tail is corrupt: the
-  // user count no longer agrees with the body size.
-  std::string bad = EncodeScoreRequest(req);
-  bad[4] = 1;
-  bad[5] = 0;
-  EXPECT_FALSE(DecodeScoreRequest(bad, &out).ok());
+TEST(ProtocolTest, RetiredFramesAreStatusErrors) {
+  for (const RejectedFrame& frame : RetiredFrames()) {
+    ScoreRequest sreq;
+    MetricsRequest mreq;
+    EXPECT_FALSE(DecodeScoreRequest(frame.payload, &sreq).ok()) << frame.what;
+    EXPECT_FALSE(DecodeMetricsRequest(frame.payload, &mreq).ok())
+        << frame.what;
+  }
+  const std::vector<RejectedFrame> frames = RetiredFrames();
+  const Status v1 = PeekMessageType(frames[0].payload).status();
+  EXPECT_NE(v1.ToString().find("unsupported version 1"), std::string::npos)
+      << v1.ToString();
+  for (size_t i : {2, 3}) {
+    const Status st = PeekMessageType(frames[i].payload).status();
+    EXPECT_NE(st.ToString().find("unknown message type"), std::string::npos)
+        << frames[i].what << ": " << st.ToString();
+  }
+}
+
+/// A 48-byte score request claiming n = 0x40000001 users: 4 * n wraps a
+/// u32 to 4, so a 32-bit size check would accept the frame's 20 body
+/// bytes (one user + the trace tail) and then resize to 4 GiB.
+std::string OverflowingScoreRequest() {
+  ScoreRequest req;
+  req.users = {7};
+  std::string payload = EncodeScoreRequest(req);
+  const uint32_t n = 0x40000001u;
+  std::memcpy(&payload[24], &n, sizeof(n));  // after header, id, tweet id
+  return payload;
+}
+
+TEST(ProtocolTest, CountsThatOverflowU32AreCorruptNotAllocations) {
+  const std::string req_frame = OverflowingScoreRequest();
+  ASSERT_EQ(req_frame.size(), 48u);
+  ScoreRequest req;
+  const Status st = DecodeScoreRequest(req_frame, &req);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("disagrees with body size"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(req.users.capacity(), 0u) << "decoder allocated before failing";
+
+  // The response twin: 8 * 0x20000001 wraps to 8, one score's worth.
+  ScoreResponse resp;
+  resp.scores = {1.0};
+  std::string resp_frame = EncodeScoreResponse(resp);
+  const uint32_t n = 0x20000001u;
+  std::memcpy(&resp_frame[17], &n, sizeof(n));  // after header, id, code
+  ASSERT_EQ(resp_frame.size(), 29u);
+  ScoreResponse out;
+  EXPECT_FALSE(DecodeScoreResponse(resp_frame, &out).ok());
+  EXPECT_EQ(out.scores.capacity(), 0u) << "decoder allocated before failing";
 }
 
 TEST(ProtocolTest, MetricsRoundTripsTypedSnapshot) {
@@ -273,8 +305,8 @@ TEST(ProtocolTest, CorruptHeadersAreStatusErrors) {
   EXPECT_FALSE(DecodeScoreRequest(bad, &out).ok());
 
   // Right header, wrong body type for the decoder.
-  StatsRequest sreq;
-  EXPECT_FALSE(DecodeStatsRequest(good, &sreq).ok());
+  MetricsRequest mreq;
+  EXPECT_FALSE(DecodeMetricsRequest(good, &mreq).ok());
 }
 
 TEST(ProtocolTest, EveryTruncationIsAStatusErrorNeverUB) {
@@ -291,9 +323,6 @@ TEST(ProtocolTest, EveryTruncationIsAStatusErrorNeverUB) {
   err_resp.request_id = 1;
   err_resp.code = ResponseCode::kError;
   err_resp.message = "why";
-  StatsResponse stats;
-  stats.request_id = 1;
-  stats.stats = {{"k", 7}};
   MetricsResponse metrics;
   metrics.request_id = 1;
   metrics.snapshot.counters = {{"c", 3}};
@@ -309,22 +338,17 @@ TEST(ProtocolTest, EveryTruncationIsAStatusErrorNeverUB) {
   metrics.snapshot.windows = {{"w", mw}};
   const std::string payloads[] = {
       EncodeScoreRequest(req), EncodeScoreResponse(ok_resp),
-      EncodeScoreResponse(err_resp), EncodeStatsRequest(StatsRequest{1}),
-      EncodeStatsResponse(stats), EncodeMetricsRequest(MetricsRequest{1}),
+      EncodeScoreResponse(err_resp), EncodeMetricsRequest(MetricsRequest{1}),
       EncodeMetricsResponse(metrics)};
   for (const std::string& payload : payloads) {
     for (size_t cut = 0; cut < payload.size(); ++cut) {
       const std::string_view prefix(payload.data(), cut);
       ScoreRequest r;
       ScoreResponse sr;
-      StatsRequest str;
-      StatsResponse sts;
       MetricsRequest mr;
       MetricsResponse mrs;
       EXPECT_FALSE(DecodeScoreRequest(prefix, &r).ok()) << "cut " << cut;
       EXPECT_FALSE(DecodeScoreResponse(prefix, &sr).ok()) << "cut " << cut;
-      EXPECT_FALSE(DecodeStatsRequest(prefix, &str).ok()) << "cut " << cut;
-      EXPECT_FALSE(DecodeStatsResponse(prefix, &sts).ok()) << "cut " << cut;
       EXPECT_FALSE(DecodeMetricsRequest(prefix, &mr).ok()) << "cut " << cut;
       EXPECT_FALSE(DecodeMetricsResponse(prefix, &mrs).ok()) << "cut " << cut;
     }
@@ -332,14 +356,10 @@ TEST(ProtocolTest, EveryTruncationIsAStatusErrorNeverUB) {
     const std::string padded = payload + '\0';
     ScoreRequest r;
     ScoreResponse sr;
-    StatsRequest str;
-    StatsResponse sts;
     MetricsRequest mr;
     MetricsResponse mrs;
     EXPECT_FALSE(DecodeScoreRequest(padded, &r).ok());
     EXPECT_FALSE(DecodeScoreResponse(padded, &sr).ok());
-    EXPECT_FALSE(DecodeStatsRequest(padded, &str).ok());
-    EXPECT_FALSE(DecodeStatsResponse(padded, &sts).ok());
     EXPECT_FALSE(DecodeMetricsRequest(padded, &mr).ok());
     EXPECT_FALSE(DecodeMetricsResponse(padded, &mrs).ok());
   }
@@ -393,6 +413,50 @@ TEST(ProtocolTest, TruncatedFrameAndBadLengthPrefixAreErrors) {
     EXPECT_FALSE(ReadFrame(fds[1], &got, &eof).ok()) << bad_len;
     close(fds[0]);
     close(fds[1]);
+  }
+}
+
+// ---------------------------------------------------------------- Client --
+
+TEST(ClientTest, ParsesEveryAddressForm) {
+  auto unix_ep = ParseEndpoint("unix:/tmp/a.sock");
+  ASSERT_TRUE(unix_ep.ok());
+  EXPECT_FALSE(unix_ep.ValueOrDie().tcp);
+  EXPECT_EQ(unix_ep.ValueOrDie().path, "/tmp/a.sock");
+  EXPECT_EQ(unix_ep.ValueOrDie().Describe(), "unix:/tmp/a.sock");
+
+  auto bare = ParseEndpoint("/tmp/b.sock");
+  ASSERT_TRUE(bare.ok());
+  EXPECT_FALSE(bare.ValueOrDie().tcp);
+  EXPECT_EQ(bare.ValueOrDie().path, "/tmp/b.sock");
+
+  auto tcp = ParseEndpoint("tcp:example.org:7000");
+  ASSERT_TRUE(tcp.ok());
+  EXPECT_TRUE(tcp.ValueOrDie().tcp);
+  EXPECT_EQ(tcp.ValueOrDie().host, "example.org");
+  EXPECT_EQ(tcp.ValueOrDie().port, "7000");
+  EXPECT_EQ(tcp.ValueOrDie().Describe(), "tcp:example.org:7000");
+
+  // IPv6 literals keep their colons: the port is after the last one.
+  auto v6 = ParseEndpoint("tcp:::1:7001");
+  ASSERT_TRUE(v6.ok());
+  EXPECT_EQ(v6.ValueOrDie().host, "::1");
+  EXPECT_EQ(v6.ValueOrDie().port, "7001");
+
+  auto no_host = ParseEndpoint("tcp::7002");
+  ASSERT_TRUE(no_host.ok());
+  EXPECT_EQ(no_host.ValueOrDie().host, "127.0.0.1");
+  EXPECT_EQ(no_host.ValueOrDie().port, "7002");
+}
+
+TEST(ClientTest, RejectsEmptyAndPortlessAddresses) {
+  for (const char* uri : {"", "unix:", "tcp:", "tcp:host", "tcp:host:",
+                          "tcp::"}) {
+    auto ep = ParseEndpoint(uri);
+    EXPECT_FALSE(ep.ok()) << "'" << uri << "' parsed";
+    if (!ep.ok()) {
+      EXPECT_EQ(ep.status().code(), StatusCode::kInvalidArgument) << uri;
+    }
   }
 }
 
@@ -880,39 +944,15 @@ std::string TestSocketPath(const char* tag) {
   return buf;
 }
 
-Result<int> ConnectTo(const std::string& path) {
-  struct sockaddr_un addr;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("socket path too long");
-  }
-  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError("socket failed");
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size());
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    close(fd);
-    return Status::IOError("connect failed");
-  }
-  return fd;
+/// Connects through the client library's address grammar (a bare path
+/// is a Unix socket).
+Result<int> ConnectTo(const std::string& uri) {
+  auto endpoint = ParseEndpoint(uri);
+  RETINA_RETURN_NOT_OK(endpoint.status());
+  return Connect(endpoint.ValueOrDie());
 }
 
-Result<int> ConnectTcpTo(uint16_t port) {
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError("socket failed");
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    close(fd);
-    return Status::IOError("tcp connect failed");
-  }
-  return fd;
-}
+std::string TcpUri(uint16_t port) { return "tcp::" + std::to_string(port); }
 
 /// One closed-loop score round trip.
 Result<ScoreResponse> RoundTrip(int fd, const ScoreRequest& req) {
@@ -924,30 +964,6 @@ Result<ScoreResponse> RoundTrip(int fd, const ScoreRequest& req) {
   ScoreResponse resp;
   RETINA_RETURN_NOT_OK(DecodeScoreResponse(payload, &resp));
   return resp;
-}
-
-Result<std::map<std::string, uint64_t>> FetchStats(
-    const std::string& path) {
-  auto fd = ConnectTo(path);
-  RETINA_RETURN_NOT_OK(fd.status());
-  StatsRequest req;
-  req.request_id = 1;
-  Status st = WriteFrame(fd.ValueOrDie(), EncodeStatsRequest(req));
-  std::map<std::string, uint64_t> out;
-  if (st.ok()) {
-    std::string payload;
-    bool eof = false;
-    st = ReadFrame(fd.ValueOrDie(), &payload, &eof);
-    if (st.ok() && eof) st = Status::IOError("eof before stats");
-    if (st.ok()) {
-      StatsResponse resp;
-      st = DecodeStatsResponse(payload, &resp);
-      if (st.ok()) out = std::move(resp.stats);
-    }
-  }
-  close(fd.ValueOrDie());
-  RETINA_RETURN_NOT_OK(st);
-  return out;
 }
 
 TEST(ServerTest, ConcurrentClientsGetByteIdenticalScores) {
@@ -1021,20 +1037,6 @@ TEST(ServerTest, ConcurrentClientsGetByteIdenticalScores) {
   EXPECT_EQ(stats["serve.protocol_errors"], 0u);
 }
 
-/// One kMetrics round trip on an already-open connection.
-Result<MetricsResponse> FetchMetrics(int fd) {
-  MetricsRequest req;
-  req.request_id = 2;
-  RETINA_RETURN_NOT_OK(WriteFrame(fd, EncodeMetricsRequest(req)));
-  std::string payload;
-  bool eof = false;
-  RETINA_RETURN_NOT_OK(ReadFrame(fd, &payload, &eof));
-  if (eof) return Status::IOError("eof before metrics");
-  MetricsResponse resp;
-  RETINA_RETURN_NOT_OK(DecodeMetricsResponse(payload, &resp));
-  return resp;
-}
-
 TEST(ServerTest, MetricsAnsweredInlineWithAuthoritativeCounters) {
   auto& f = SharedFixture();
   auto handler = RequestHandler::Borrow(f.model.get(), f.extractor.get(), {});
@@ -1057,7 +1059,7 @@ TEST(ServerTest, MetricsAnsweredInlineWithAuthoritativeCounters) {
   // until it settles (bounded).
   obs::RegistrySnapshot snap;
   for (int attempt = 0; attempt < 200; ++attempt) {
-    auto metrics = FetchMetrics(fd.ValueOrDie());
+    auto metrics = QueryMetrics(fd.ValueOrDie());
     ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
     snap = std::move(metrics.ValueOrDie().snapshot);
     if (snap.counters.at("serve.responses") >= requests.size()) break;
@@ -1085,35 +1087,50 @@ TEST(ServerTest, MetricsAnsweredInlineWithAuthoritativeCounters) {
   ASSERT_TRUE(server.Wait().ok());
 }
 
-TEST(ServerTest, V1ScoreFramesWithoutTraceTailScoreByteIdentically) {
+TEST(ServerTest, RejectedFramesCloseOnlyTheirConnection) {
+  // Every frame the protocol rejects — the retired v1 and stats frames,
+  // and the u32-overflowing user count — closes the connection it came
+  // on, counts one serve.protocol_errors, and leaves the daemon serving
+  // a client that stayed connected throughout.
   auto& f = SharedFixture();
   auto handler = RequestHandler::Borrow(f.model.get(), f.extractor.get(), {});
   ServerOptions sopts;
-  sopts.socket_path = TestSocketPath("v1");
+  sopts.socket_path = TestSocketPath("reject");
   Server server(handler.get(), sopts);
   ASSERT_TRUE(server.Start().ok());
 
-  auto fd = ConnectTo(sopts.socket_path);
-  ASSERT_TRUE(fd.ok());
-  for (const ScoreRequest& req : MakeRequests(f, 6, 55)) {
-    auto v2 = RoundTrip(fd.ValueOrDie(), req);
-    ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-    ASSERT_EQ(v2.ValueOrDie().code, ResponseCode::kOk);
-
-    // The same request as an old client would frame it: version 1, no
-    // trace tail. Scores must be byte-identical.
-    ASSERT_TRUE(
-        WriteFrame(fd.ValueOrDie(), EncodeScoreRequestV1(req)).ok());
+  auto good = ConnectTo(sopts.socket_path);
+  ASSERT_TRUE(good.ok());
+  const auto reqs = MakeRequests(f, 1, 55);
+  std::vector<RejectedFrame> frames = RetiredFrames();
+  frames.push_back({"u32-overflowing user count", OverflowingScoreRequest()});
+  uint64_t want_errors = 0;
+  for (const RejectedFrame& frame : frames) {
+    auto bad = ConnectTo(sopts.socket_path);
+    ASSERT_TRUE(bad.ok());
+    ASSERT_TRUE(WriteFrame(bad.ValueOrDie(), frame.payload).ok());
     std::string payload;
     bool eof = false;
-    ASSERT_TRUE(ReadFrame(fd.ValueOrDie(), &payload, &eof).ok());
-    ASSERT_FALSE(eof);
-    ScoreResponse v1;
-    ASSERT_TRUE(DecodeScoreResponse(payload, &v1).ok());
-    ASSERT_EQ(v1.code, ResponseCode::kOk);
-    ExpectBitIdentical(v1.scores, v2.ValueOrDie().scores, "v1 vs v2");
+    const Status st = ReadFrame(bad.ValueOrDie(), &payload, &eof);
+    EXPECT_TRUE(!st.ok() || eof) << frame.what << ": connection stayed open";
+    close(bad.ValueOrDie());
+    ++want_errors;
+
+    auto metrics = QueryMetrics(good.ValueOrDie());
+    ASSERT_TRUE(metrics.ok()) << frame.what << ": "
+                              << metrics.status().ToString();
+    EXPECT_EQ(metrics.ValueOrDie().snapshot.counters.at(
+                  "serve.protocol_errors"),
+              want_errors)
+        << frame.what;
+    auto resp = RoundTrip(good.ValueOrDie(), reqs[0]);
+    ASSERT_TRUE(resp.ok()) << frame.what << ": "
+                           << resp.status().ToString();
+    ASSERT_EQ(resp.ValueOrDie().code, ResponseCode::kOk);
+    ExpectBitIdentical(resp.ValueOrDie().scores, DirectScores(f, reqs[0]),
+                       std::string("after ") + frame.what);
   }
-  close(fd.ValueOrDie());
+  close(good.ValueOrDie());
   server.RequestShutdown();
   ASSERT_TRUE(server.Wait().ok());
 }
@@ -1271,10 +1288,10 @@ TEST(ServerTest, FullQueueShedsImmediatelyAndDrainAnswersAdmitted) {
   EXPECT_GE(stats["serve.queue_depth_peak"], 1u);
 }
 
-TEST(ServerTest, StatsRequestAnsweredInlineWhileWorkersAreBusy) {
+TEST(ServerTest, MetricsAnsweredInlineWhileWorkersAreBusy) {
   StallingHandler handler;
   ServerOptions sopts;
-  sopts.socket_path = TestSocketPath("stats");
+  sopts.socket_path = TestSocketPath("busy");
   sopts.queue_capacity = 4;
   Server server(&handler, sopts);
   ASSERT_TRUE(server.Start().ok());
@@ -1286,19 +1303,76 @@ TEST(ServerTest, StatsRequestAnsweredInlineWhileWorkersAreBusy) {
   ASSERT_TRUE(WriteFrame(fd.ValueOrDie(), EncodeScoreRequest(req)).ok());
   handler.WaitUntilEntered(1);
 
-  // The worker is wedged, yet stats must answer: they ride the reader
+  // The worker is wedged, yet metrics must answer: they ride the reader
   // thread, not the admission queue.
-  auto stats = FetchStats(sopts.socket_path);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.ValueOrDie().at("serve.requests"), 1u);
-  EXPECT_EQ(stats.ValueOrDie().at("serve.workers"), 1u);
-  EXPECT_EQ(stats.ValueOrDie().at("serve.queue_capacity"), 4u);
-  EXPECT_EQ(stats.ValueOrDie().at("stall.entered"), 1u);  // handler merged
+  auto endpoint = ParseEndpoint(sopts.socket_path);
+  ASSERT_TRUE(endpoint.ok());
+  auto metrics = QueryMetrics(endpoint.ValueOrDie());
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  const auto& counters = metrics.ValueOrDie().snapshot.counters;
+  EXPECT_EQ(counters.at("serve.requests"), 1u);
+  EXPECT_EQ(counters.at("serve.workers"), 1u);
+  EXPECT_EQ(counters.at("serve.queue_capacity"), 4u);
+  EXPECT_EQ(counters.at("stall.entered"), 1u);  // handler merged
 
   handler.Release();
   server.RequestShutdown();
   ASSERT_TRUE(server.Wait().ok());
   close(fd.ValueOrDie());
+}
+
+/// Virtual size of this process from /proc/self/status, in bytes (0 if
+/// the field is missing).
+uint64_t VmSizeBytes() {
+  FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmSize: %llu kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return static_cast<uint64_t>(kb) * 1024;
+}
+
+TEST(ServerTest, ExitedReadersAreReapedUnderConnectionChurn) {
+  // Each connection gets a reader thread with its own stack. Readers that
+  // have exited must be joined while the daemon runs, not only at drain:
+  // unreaped, 300 connect/close cycles would keep ~300 stacks (~2.4 GB of
+  // address space at 8 MiB each) mapped.
+  StallingHandler handler;  // never entered: no score requests are sent
+  ServerOptions sopts;
+  sopts.socket_path = TestSocketPath("churn");
+  Server server(&handler, sopts);
+  ASSERT_TRUE(server.Start().ok());
+  auto endpoint = ParseEndpoint(sopts.socket_path);
+  ASSERT_TRUE(endpoint.ok());
+
+  constexpr uint64_t kMiB = 1 << 20;
+  constexpr uint64_t kMaxGrowth = 256 * kMiB;
+  const uint64_t before = VmSizeBytes();
+  ASSERT_GT(before, 0u);
+  for (int cycle = 0; cycle < 300; ++cycle) {  // one connection at a time
+    ASSERT_TRUE(QueryMetrics(endpoint.ValueOrDie()).ok()) << cycle;
+  }
+  // The accept loop reaps on every poll tick; give the last readers a
+  // moment to exit and be joined.
+  uint64_t growth = 0;
+  for (int wait = 0; wait < 100; ++wait) {
+    const uint64_t now = VmSizeBytes();
+    growth = now > before ? now - before : 0;
+    if (growth < kMaxGrowth) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LT(growth, kMaxGrowth)
+      << "VmSize grew " << growth / kMiB << " MiB over 300 connections";
+
+  server.RequestShutdown();
+  ASSERT_TRUE(server.Wait().ok());
+  std::map<std::string, uint64_t> stats;
+  server.SnapshotStats(&stats);
+  EXPECT_EQ(stats["serve.connections"], 300u);
+  EXPECT_EQ(stats["serve.accept_errors"], 0u);
 }
 
 TEST(ServerTest, ProtocolGarbageClosesConnectionNotServer) {
@@ -1585,7 +1659,7 @@ TEST(ServerTest, TcpListenerServesByteIdenticalScores) {
   ASSERT_TRUE(server.Start().ok());
   ASSERT_NE(server.tcp_port(), 0) << "port 0 must resolve to a bound port";
 
-  auto fd = ConnectTcpTo(server.tcp_port());
+  auto fd = ConnectTo(TcpUri(server.tcp_port()));
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   const auto reqs = MakeRequests(f, 6, 311);
   for (size_t i = 0; i < reqs.size(); ++i) {
@@ -1605,7 +1679,7 @@ TEST(ServerTest, TcpListenerServesByteIdenticalScores) {
   EXPECT_EQ(stats["serve.requests"], reqs.size());
   EXPECT_EQ(stats["serve.responses"], reqs.size());
   // The drain closed the TCP listener: new connections must fail.
-  EXPECT_FALSE(ConnectTcpTo(server.tcp_port()).ok());
+  EXPECT_FALSE(ConnectTo(TcpUri(server.tcp_port())).ok());
 }
 
 TEST(ServerTest, BothTransportsServeTheSameBytesSimultaneously) {
@@ -1619,7 +1693,7 @@ TEST(ServerTest, BothTransportsServeTheSameBytesSimultaneously) {
   ASSERT_NE(server.tcp_port(), 0);
 
   auto unix_fd = ConnectTo(sopts.socket_path);
-  auto tcp_fd = ConnectTcpTo(server.tcp_port());
+  auto tcp_fd = ConnectTo(TcpUri(server.tcp_port()));
   ASSERT_TRUE(unix_fd.ok());
   ASSERT_TRUE(tcp_fd.ok());
   for (const ScoreRequest& req : MakeRequests(f, 4, 733)) {

@@ -6,36 +6,32 @@
 //               [--out BENCH_serve.json] [--metrics-out FILE]
 //               [--timeout-secs T] [--smoke]
 //
-// --connect takes "unix:PATH", "tcp:HOST:PORT", or a bare filesystem
-// path (treated as unix:); --socket PATH survives as an alias for the
-// unix form. For each target QPS the driver opens C connections; each
-// connection runs a sender thread that fires score requests on a
-// deterministic exponential arrival schedule (Rng::Stream(seed, conn) —
-// open loop: the sender never waits for responses, so server latency
-// cannot throttle offered load the way a closed-loop bench does) and a
-// receiver thread that matches responses by request id and records
-// client-side latency into retina::obs histograms. Request content
-// replays the generated world's cascade shape: tweet ids uniform over
-// the world, candidate users Zipf-flavored (80% from a hot pool of
-// num_users/4, like bench_serving's request stream). --hot-set K
-// concentrates tweet ids on K hot tweets drawn Zipf(--skew) — the
-// paper's cascade-storm shape, and the workload the server's same-tweet
+// --connect takes "unix:PATH", "tcp:HOST:PORT", or a bare filesystem path
+// (treated as unix:), parsed by serve::ParseEndpoint; --socket PATH
+// survives as an alias. For each target QPS the driver opens C
+// connections; each connection runs a sender thread that fires score
+// requests on a deterministic exponential arrival schedule
+// (Rng::Stream(seed, conn) — open loop: the sender never waits for
+// responses, so server latency cannot throttle offered load the way a
+// closed-loop bench does) and a receiver thread that matches responses by
+// request id and records client-side latency into retina::obs histograms.
+// Request content replays the generated world's cascade shape: tweet ids
+// uniform over the world, candidate users Zipf-flavored (80% from a hot
+// pool of num_users/4, like bench_serving's request stream). --hot-set K
+// concentrates tweet ids on K hot tweets drawn Zipf(--skew) — the paper's
+// cascade-storm shape, and the workload the server's same-tweet
 // coalescing is built for.
 //
 // The sweep emits BENCH_serve.json: one point per target QPS with
 // achieved throughput, p50/p95/p99 latency (from the obs histogram, so
 // quantiles are log2-bucket upper bounds), client-side ok/shed/error/
 // dropped counts, and the server's own shed / queue-depth-peak /
-// coalescing deltas fetched over the kStats protocol message.
-// check_bench.py gates the shape of this curve (p99 finite, zero shed
-// below capacity) and the batched-vs-unbatched hot-set throughput
-// ratio, never absolute latency.
+// coalescing deltas, read from the counter map of a kMetrics reply before
+// and after each point. The dataset shape (handler.num_tweets,
+// handler.num_users) comes from the same map. check_bench.py gates the
+// shape of this curve (p99 finite, zero shed below capacity) and the
+// batched-vs-unbatched hot-set throughput ratio, never absolute latency.
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -57,6 +53,7 @@
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/trace.h"
+#include "serve/client.h"
 #include "serve/handler.h"
 #include "serve/protocol.h"
 
@@ -64,21 +61,8 @@ namespace {
 
 using namespace retina;
 
-/// Where to connect: a Unix-domain socket path or a TCP host:port, as
-/// parsed from --connect / --socket.
-struct Target {
-  bool tcp = false;
-  std::string path;  ///< unix socket path (tcp == false)
-  std::string host;  ///< tcp host (tcp == true)
-  std::string port;  ///< tcp port (tcp == true)
-
-  std::string Describe() const {
-    return tcp ? "tcp:" + host + ":" + port : "unix:" + path;
-  }
-};
-
 struct Args {
-  Target target;
+  serve::Endpoint target;
   std::string out = "BENCH_serve.json";
   std::string metrics_out;
   std::string trace_out;
@@ -128,28 +112,6 @@ int Usage() {
       "  --timeout-secs T       per-point response deadline slack\n"
       "  --smoke                CI-sized sweep (fewer requests)\n");
   return 2;
-}
-
-/// Parses "unix:PATH" / "tcp:HOST:PORT" / bare path into a Target.
-bool ParseTarget(const std::string& uri, Target* target) {
-  if (uri.rfind("unix:", 0) == 0) {
-    target->tcp = false;
-    target->path = uri.substr(5);
-    return !target->path.empty();
-  }
-  if (uri.rfind("tcp:", 0) == 0) {
-    const std::string rest = uri.substr(4);
-    const size_t colon = rest.rfind(':');
-    if (colon == std::string::npos) return false;
-    target->tcp = true;
-    target->host = rest.substr(0, colon);
-    target->port = rest.substr(colon + 1);
-    if (target->host.empty()) target->host = "127.0.0.1";
-    return !target->port.empty();
-  }
-  target->tcp = false;
-  target->path = uri;
-  return !target->path.empty();
 }
 
 int UnknownFlag(const std::string& arg) {
@@ -202,11 +164,13 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
       continue;
     }
     if (take("--connect", &value) || take("--socket", &value)) {
-      if (!ParseTarget(value, &args->target)) {
-        std::fprintf(stderr, "bad --connect target: %s\n", value.c_str());
+      auto target = serve::ParseEndpoint(value);
+      if (!target.ok()) {
+        std::fprintf(stderr, "%s\n", target.status().ToString().c_str());
         *rc = 2;
         return false;
       }
+      args->target = std::move(target).ValueOrDie();
       continue;
     }
     if (take("--qps", &qps_list)) continue;
@@ -254,7 +218,7 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
     args->requests = std::min<size_t>(args->requests, 48);
     args->warmup = std::min<size_t>(args->warmup, 16);
   }
-  if (args->target.path.empty() && args->target.host.empty()) {
+  if (!args->target.tcp && args->target.path.empty()) {
     *rc = Usage();
     return false;
   }
@@ -271,89 +235,14 @@ uint64_t NowNs() {
           .count());
 }
 
-Result<int> ConnectUnix(const std::string& path) {
-  struct sockaddr_un addr;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("socket path too long: " + path);
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket failed: ") +
-                           std::strerror(errno));
-  }
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size());
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status st = Status::IOError("connect " + path +
-                                      " failed: " + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  return fd;
-}
-
-Result<int> ConnectTcp(const std::string& host, const std::string& port) {
-  struct addrinfo hints;
-  std::memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo* res = nullptr;
-  const int gai = ::getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
-  if (gai != 0) {
-    return Status::InvalidArgument("cannot resolve tcp:" + host + ":" + port +
-                                   ": " + ::gai_strerror(gai));
-  }
-  Status st = Status::IOError("no usable address for tcp:" + host + ":" + port);
-  int fd = -1;
-  for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-      // Frames are whole messages; don't let Nagle sit on them.
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      st = Status::OK();
-      break;
-    }
-    st = Status::IOError("connect tcp:" + host + ":" + port +
-                         " failed: " + std::strerror(errno));
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(res);
-  if (!st.ok()) return st;
-  return fd;
-}
-
-Result<int> Connect(const Target& target) {
-  return target.tcp ? ConnectTcp(target.host, target.port)
-                    : ConnectUnix(target.path);
-}
-
-/// One kStats round trip on a fresh connection.
-Status QueryStats(const Target& target,
-                  std::map<std::string, uint64_t>* stats) {
-  auto fd_result = Connect(target);
-  if (!fd_result.ok()) return fd_result.status();
-  const int fd = fd_result.ValueOrDie();
-  serve::StatsRequest req;
-  req.request_id = 1;
-  Status st = serve::WriteFrame(fd, serve::EncodeStatsRequest(req));
-  if (st.ok()) {
-    std::string payload;
-    bool eof = false;
-    st = serve::ReadFrame(fd, &payload, &eof);
-    if (st.ok() && eof) st = Status::IOError("server closed during stats");
-    if (st.ok()) {
-      serve::StatsResponse resp;
-      st = serve::DecodeStatsResponse(payload, &resp);
-      if (st.ok()) *stats = std::move(resp.stats);
-    }
-  }
-  ::close(fd);
-  return st;
+/// The daemon's counter map (server stats + handler shape overlaid) from
+/// one kMetrics round trip.
+Status QueryCounters(const serve::Endpoint& target,
+                     std::map<std::string, uint64_t>* counters) {
+  auto resp = serve::QueryMetrics(target);
+  RETINA_RETURN_NOT_OK(resp.status());
+  *counters = std::move(resp.ValueOrDie().snapshot.counters);
+  return Status::OK();
 }
 
 uint64_t StatOr(const std::map<std::string, uint64_t>& stats,
@@ -456,7 +345,7 @@ Status VerifyByteIdentity(const Args& args, const Workload& workload) {
       serve::RequestHandler::Open(args.verify_data, args.verify_model, {});
   RETINA_RETURN_NOT_OK(handler_result.status());
   const auto handler = std::move(handler_result).ValueOrDie();
-  auto fd_result = Connect(args.target);
+  auto fd_result = serve::Connect(args.target);
   RETINA_RETURN_NOT_OK(fd_result.status());
   const int fd = fd_result.ValueOrDie();
   Rng rng = Rng::Stream(args.seed ^ 0xBEEFULL, 0);
@@ -567,11 +456,11 @@ Status RunPoint(const Args& args, size_t point_idx, double target_qps,
   result->target_qps = target_qps;
 
   std::map<std::string, uint64_t> before;
-  RETINA_RETURN_NOT_OK(QueryStats(args.target, &before));
+  RETINA_RETURN_NOT_OK(QueryCounters(args.target, &before));
 
   std::vector<int> fds(conns, -1);
   for (size_t c = 0; c < conns; ++c) {
-    auto fd_result = Connect(args.target);
+    auto fd_result = serve::Connect(args.target);
     if (!fd_result.ok()) {
       for (int fd : fds) {
         if (fd >= 0) ::close(fd);
@@ -708,7 +597,7 @@ Status RunPoint(const Args& args, size_t point_idx, double target_qps,
   result->latency_p99_ns = hooks.latency_ns->Quantile(0.99);
 
   std::map<std::string, uint64_t> after;
-  RETINA_RETURN_NOT_OK(QueryStats(args.target, &after));
+  RETINA_RETURN_NOT_OK(QueryCounters(args.target, &after));
   result->server_shed_delta =
       StatOr(after, "serve.shed", 0) - StatOr(before, "serve.shed", 0);
   result->server_requests_delta = StatOr(after, "serve.requests", 0) -
@@ -830,13 +719,13 @@ int main(int argc, char** argv) {
   // Learn the dataset shape from the daemon instead of loading the world:
   // the driver stays a pure protocol client.
   std::map<std::string, uint64_t> stats;
-  Status st = QueryStats(args.target, &stats);
+  Status st = QueryCounters(args.target, &stats);
   if (!st.ok()) return Fail(st);
   const uint64_t num_tweets = StatOr(stats, "handler.num_tweets", 0);
   const uint64_t num_users = StatOr(stats, "handler.num_users", 0);
   if (num_tweets == 0 || num_users == 0) {
     return Fail(Status::FailedPrecondition(
-        "server stats did not report handler.num_tweets/num_users"));
+        "server metrics did not report handler.num_tweets/num_users"));
   }
   std::printf("server at %s: %llu tweets, %llu users, %llu workers, "
               "queue capacity %llu, coalesce max batch %llu\n",
@@ -867,7 +756,7 @@ int main(int argc, char** argv) {
   // Closed-loop warmup so the first measured point does not pay the
   // engine's cold caches.
   if (args.warmup > 0) {
-    auto fd_result = Connect(args.target);
+    auto fd_result = serve::Connect(args.target);
     if (!fd_result.ok()) return Fail(fd_result.status());
     const int fd = fd_result.ValueOrDie();
     Rng rng = Rng::Stream(args.seed ^ 0x57A7ULL, 0);
@@ -912,7 +801,7 @@ int main(int argc, char** argv) {
   }
 
   std::map<std::string, uint64_t> final_stats;
-  st = QueryStats(args.target, &final_stats);
+  st = QueryCounters(args.target, &final_stats);
   if (!st.ok()) return Fail(st);
   st = WriteBenchJson(args, final_stats, points);
   if (!st.ok()) return Fail(st);

@@ -23,44 +23,22 @@
 // stats), so qps/shed/queue rows stay live; cache and quantile rows
 // degrade to "-".
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
 #include "common/status.h"
-#include "serve/protocol.h"
+#include "serve/client.h"
 
 namespace {
 
 using namespace retina;
 
-/// Where to connect: a Unix-domain socket path or a TCP host:port, as
-/// parsed from --connect / --socket (same grammar as load_driver).
-struct Target {
-  bool tcp = false;
-  std::string path;
-  std::string host;
-  std::string port;
-
-  std::string Describe() const {
-    return tcp ? "tcp:" + host + ":" + port : "unix:" + path;
-  }
-};
-
 struct Args {
-  Target target;
+  serve::Endpoint target;
   double interval = 1.0;
   bool once = false;
 };
@@ -76,27 +54,6 @@ int Usage() {
       "  --once            take two samples one interval apart, print\n"
       "                    plain 'key value' lines, and exit (scripting)\n");
   return 2;
-}
-
-bool ParseTarget(const std::string& uri, Target* target) {
-  if (uri.rfind("unix:", 0) == 0) {
-    target->tcp = false;
-    target->path = uri.substr(5);
-    return !target->path.empty();
-  }
-  if (uri.rfind("tcp:", 0) == 0) {
-    const std::string rest = uri.substr(4);
-    const size_t colon = rest.rfind(':');
-    if (colon == std::string::npos) return false;
-    target->tcp = true;
-    target->host = rest.substr(0, colon);
-    target->port = rest.substr(colon + 1);
-    if (target->host.empty()) target->host = "127.0.0.1";
-    return !target->port.empty();
-  }
-  target->tcp = false;
-  target->path = uri;
-  return !target->path.empty();
 }
 
 bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
@@ -121,17 +78,14 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
       return false;
     };
     std::string value;
-    if (take("--connect", &value)) {
-      if (!ParseTarget(value, &args->target)) {
-        std::fprintf(stderr, "bad --connect: %s\n", value.c_str());
+    if (take("--connect", &value) || take("--socket", &value)) {
+      auto target = serve::ParseEndpoint(value);
+      if (!target.ok()) {
+        std::fprintf(stderr, "%s\n", target.status().ToString().c_str());
         *rc = 2;
         return false;
       }
-      continue;
-    }
-    if (take("--socket", &value)) {
-      args->target = Target{};
-      args->target.path = value;
+      args->target = std::move(target).ValueOrDie();
       continue;
     }
     if (take("--interval", &value)) {
@@ -150,90 +104,12 @@ bool ParseArgs(int argc, char** argv, Args* args, int* rc) {
     *rc = 2;
     return false;
   }
-  if (args->target.path.empty() && args->target.host.empty()) {
+  if (!args->target.tcp && args->target.path.empty()) {
     *rc = Usage();
     return false;
   }
   if (args->interval < 0.05) args->interval = 0.05;
   return true;
-}
-
-Result<int> ConnectUnix(const std::string& path) {
-  struct sockaddr_un addr;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("socket path too long: " + path);
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket failed: ") +
-                           std::strerror(errno));
-  }
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size());
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status st = Status::IOError("connect " + path +
-                                      " failed: " + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  return fd;
-}
-
-Result<int> ConnectTcp(const std::string& host, const std::string& port) {
-  struct addrinfo hints;
-  std::memset(&hints, 0, sizeof(hints));
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  struct addrinfo* res = nullptr;
-  const int gai = ::getaddrinfo(host.c_str(), port.c_str(), &hints, &res);
-  if (gai != 0) {
-    return Status::InvalidArgument("cannot resolve tcp:" + host + ":" + port +
-                                   ": " + ::gai_strerror(gai));
-  }
-  Status st = Status::IOError("no usable address for tcp:" + host + ":" + port);
-  int fd = -1;
-  for (struct addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      st = Status::OK();
-      break;
-    }
-    st = Status::IOError("connect tcp:" + host + ":" + port +
-                         " failed: " + std::strerror(errno));
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(res);
-  if (!st.ok()) return st;
-  return fd;
-}
-
-/// One kMetrics round trip on a fresh connection, like load_driver's
-/// QueryStats — a monitor should exercise the same connect path clients
-/// do, and a per-poll connection can never wedge the daemon's readers.
-Status QueryMetrics(const Target& target, uint64_t request_id,
-                    serve::MetricsResponse* out) {
-  auto fd_result = target.tcp ? ConnectTcp(target.host, target.port)
-                              : ConnectUnix(target.path);
-  if (!fd_result.ok()) return fd_result.status();
-  const int fd = fd_result.ValueOrDie();
-  serve::MetricsRequest req;
-  req.request_id = request_id;
-  Status st = serve::WriteFrame(fd, serve::EncodeMetricsRequest(req));
-  if (st.ok()) {
-    std::string payload;
-    bool eof = false;
-    st = serve::ReadFrame(fd, &payload, &eof);
-    if (st.ok() && eof) st = Status::IOError("server closed during metrics");
-    if (st.ok()) st = serve::DecodeMetricsResponse(payload, out);
-  }
-  ::close(fd);
-  return st;
 }
 
 /// One polled sample: wall time plus the daemon's registry snapshot.
@@ -436,13 +312,14 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
 
+  // A fresh connection per poll: the monitor exercises the same connect
+  // path clients do, and can never wedge a daemon reader.
   uint64_t request_id = 1;
   auto poll = [&](Sample* out) -> Status {
-    serve::MetricsResponse resp;
-    const Status st = QueryMetrics(args.target, request_id++, &resp);
-    if (!st.ok()) return st;
+    auto resp = serve::QueryMetrics(args.target, request_id++);
+    RETINA_RETURN_NOT_OK(resp.status());
     out->when = std::chrono::steady_clock::now();
-    out->snap = std::move(resp.snapshot);
+    out->snap = std::move(resp.ValueOrDie().snapshot);
     return Status::OK();
   };
 
