@@ -101,8 +101,6 @@ Result<FeatureExtractor> FeatureExtractor::Build(
       labels[i] = label;
     }
   }
-
-  fx.RebuildUserCaches();
   return fx;
 }
 
@@ -233,16 +231,13 @@ Result<FeatureExtractor> FeatureExtractor::Restore(
         "checkpoint machine-label bits have trailing entries");
   }
 
-  // Per-user blocks and embeddings are pure functions of the restored
-  // state, so this reproduces Build's caches bit-for-bit.
-  fx.RebuildUserCaches();
   return fx;
 }
 
 void FeatureExtractor::SetHistorySize(size_t history_size) {
   config_.history_size = history_size;
-  news_tfidf_cache_.clear();
-  RebuildUserCaches();
+  history_block_table_ = std::make_unique<LazyUserTable>();
+  user_embedding_table_ = std::make_unique<LazyUserTable>();
 }
 
 size_t FeatureExtractor::HistoryBlockDim() const {
@@ -251,8 +246,7 @@ size_t FeatureExtractor::HistoryBlockDim() const {
          1 + 1;
 }
 
-Vec FeatureExtractor::ComputeHistoryBlock(
-    NodeId user, std::vector<std::string>* concat_tokens) const {
+Vec FeatureExtractor::ComputeHistoryBlock(NodeId user) const {
   // Cache-miss cost center of the serving path: every call here is a
   // history block the ScoringEngine could not serve from its LRU.
   static obs::Counter* computed =
@@ -306,29 +300,35 @@ Vec FeatureExtractor::ComputeHistoryBlock(
       1.0 + static_cast<double>(world.network().FollowerCount(user))));
   block.push_back(world.users()[user].account_age_days / 1000.0);
   block.push_back(static_cast<double>(topics_used.size()) / 10.0);
-
-  if (concat_tokens != nullptr) *concat_tokens = std::move(concat);
   return block;
 }
 
-void FeatureExtractor::RebuildUserCaches() {
-  const size_t n_users = world_->NumUsers();
-  history_blocks_.assign(n_users, Vec());
-  user_embeddings_.assign(n_users, Vec());
+const std::vector<Vec>& FeatureExtractor::HistoryBlocks() const {
+  return history_block_table_->Get(
+      world_->NumUsers(), [this](NodeId u) { return ComputeHistoryBlock(u); });
+}
 
-  for (NodeId u = 0; u < n_users; ++u) {
-    std::vector<std::string> concat;
-    history_blocks_[u] = ComputeHistoryBlock(u, &concat);
+const Vec& FeatureExtractor::UserHistoryBlock(NodeId user) const {
+  return HistoryBlocks()[user];
+}
 
-    // Cap the inference document length: the embedding converges long
-    // before 150 tokens and inference cost is linear in length.
-    std::vector<std::string> infer_doc = concat;
-    if (infer_doc.size() > 150) {
-      infer_doc.assign(concat.end() - 150, concat.end());
+const std::vector<Vec>& FeatureExtractor::UserEmbeddings() const {
+  static obs::Counter* computed =
+      obs::Registry::Global().GetCounter("features.user_embeddings_computed");
+  return user_embedding_table_->Get(world_->NumUsers(), [this](NodeId u) {
+    computed->Add(1);
+    // The user's recent history as one document, capped to its last 150
+    // tokens: the embedding converges long before that and inference cost
+    // is linear in length.
+    const auto& hist = world_->History(u);
+    const size_t take = std::min(config_.history_size, hist.size());
+    std::vector<std::string> doc;
+    for (size_t i = hist.size() - take; i < hist.size(); ++i) {
+      doc.insert(doc.end(), hist[i].tokens.begin(), hist[i].tokens.end());
     }
-    user_embeddings_[u] = doc2vec_.InferVector(infer_doc,
-                                               /*infer_epochs=*/8);
-  }
+    if (doc.size() > 150) doc.erase(doc.begin(), doc.end() - 150);
+    return doc2vec_.InferVector(doc, /*infer_epochs=*/8);
+  });
 }
 
 double FeatureExtractor::TopicRelatedness(NodeId user, size_t hashtag) const {
@@ -337,16 +337,15 @@ double FeatureExtractor::TopicRelatedness(NodeId user, size_t hashtag) const {
   std::string token;
   token.reserve(tag.size());
   for (char c : tag) token += static_cast<char>(std::tolower(c));
-  return doc2vec_.TokenSimilarity(user_embeddings_[user], token);
+  return doc2vec_.TokenSimilarity(UserEmbeddings()[user], token);
 }
 
 Vec FeatureExtractor::NewsTfIdfAverage(double t0, size_t window) const {
   if (window == 0) window = config_.news_window;
-  const long bucket =
-      static_cast<long>(t0) * 1000 + static_cast<long>(window);
+  const std::pair<size_t, size_t> key(world_->news().CountBefore(t0), window);
   {
     std::shared_lock<std::shared_mutex> lock(news_tfidf_mu_.get());
-    auto it = news_tfidf_cache_.find(bucket);
+    auto it = news_tfidf_cache_.find(key);
     if (it != news_tfidf_cache_.end()) return it->second;
   }
   const auto idx = world_->news().MostRecentBefore(t0, window);
@@ -358,7 +357,7 @@ Vec FeatureExtractor::NewsTfIdfAverage(double t0, size_t window) const {
   // Racing computers produce identical values (pure function of the key),
   // so losing the emplace race is harmless.
   std::unique_lock<std::shared_mutex> lock(news_tfidf_mu_.get());
-  news_tfidf_cache_.emplace(bucket, avg);
+  news_tfidf_cache_.emplace(key, avg);
   return avg;
 }
 
@@ -423,7 +422,7 @@ Vec FeatureExtractor::HateGenFeatures(NodeId user, size_t hashtag, double t0,
   Vec out;
   out.reserve(HateGenDim(mask));
   if (mask.history) {
-    const Vec& block = history_blocks_[user];
+    const Vec& block = UserHistoryBlock(user);
     out.insert(out.end(), block.begin(), block.end());
   }
   if (mask.topic) out.push_back(TopicRelatedness(user, hashtag));
@@ -447,7 +446,7 @@ Vec FeatureExtractor::RetweetUserFeatures(const datagen::Tweet& tweet,
                                           int path_length) const {
   Vec out;
   out.reserve(RetweetUserDim());
-  const Vec& block = history_blocks_[user];
+  const Vec& block = UserHistoryBlock(user);
   out.insert(out.end(), block.begin(), block.end());
   const Vec trending =
       world_->TrendingIndicator(tweet.time, config_.trending_dim);

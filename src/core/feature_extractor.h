@@ -1,9 +1,10 @@
 // Feature engineering of Sections IV and V-A.
 //
 // One FeatureExtractor is built per world: it fits the tf-idf vectorizers
-// (user-history, news, root-tweet), trains the shared Doc2Vec embedding on
-// tweets+headlines, and caches per-user history blocks. The extractor then
-// serves:
+// (user-history, news, root-tweet) and trains the shared Doc2Vec embedding
+// on tweets+headlines. Per-user state (history blocks, user embeddings) is
+// derived on first read, so loading a serving bundle computes nothing per
+// user. The extractor then serves:
 //   - hate-generation feature vectors f_1(S_en, S_ex, H_it, T)  (Eq. 1)
 //   - retweet-prediction user vectors including peer signals     (Eq. 2)
 //   - attention inputs: tweet Doc2Vec query + news Doc2Vec windows.
@@ -15,10 +16,12 @@
 #ifndef RETINA_CORE_FEATURE_EXTRACTOR_H_
 #define RETINA_CORE_FEATURE_EXTRACTOR_H_
 
+#include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/sparse_vec.h"
@@ -67,15 +70,15 @@ struct FeatureConfig {
 /// \brief Fitted feature pipeline over one SyntheticWorld.
 class FeatureExtractor {
  public:
-  /// Fits vectorizers and Doc2Vec; caches per-user blocks.
+  /// Fits vectorizers and Doc2Vec and draws the machine-label noise.
   static Result<FeatureExtractor> Build(const datagen::SyntheticWorld& world,
                                         const FeatureConfig& config);
 
   /// Writes the fitted state under `prefix`: config, the three tf-idf
   /// vectorizers, the Doc2Vec model, and the machine-annotated history
-  /// labels. Per-user caches and news embeddings are NOT written — they
-  /// are pure functions of this state plus the world, and Restore
-  /// re-derives them bit-identically.
+  /// labels. Per-user tables and news embeddings are NOT written — they
+  /// are pure functions of this state plus the world, so a restored
+  /// extractor derives them bit-identically to the one that was saved.
   void SaveTo(io::Checkpoint* ckpt, const std::string& prefix) const;
 
   /// Rebuilds an extractor over `world` from the state saved under
@@ -131,12 +134,8 @@ class FeatureExtractor {
   /// Recomputes user's history block from scratch — the uncached path
   /// behind ScoringEngine's per-user LRU (at serving scale the per-user
   /// invariants cannot all be precomputed). Equal to UserHistoryBlock for
-  /// any user. When `concat_tokens` is non-null it receives the
-  /// concatenated recent-history document (Build reuses it for the user
-  /// Doc2Vec embedding).
-  Vec ComputeHistoryBlock(NodeId user,
-                          std::vector<std::string>* concat_tokens =
-                              nullptr) const;
+  /// any user.
+  Vec ComputeHistoryBlock(NodeId user) const;
 
   /// Root-tweet content features: tweet tf-idf + hate-lexicon vector.
   Vec TweetContentFeatures(const datagen::Tweet& tweet) const;
@@ -168,27 +167,47 @@ class FeatureExtractor {
                             size_t window = 0) const;
   static constexpr size_t kNewsAlignmentDim = 3;
 
-  /// Per-user history block (cached; shared by both tasks).
-  const Vec& UserHistoryBlock(NodeId user) const {
-    return history_blocks_[user];
-  }
+  /// Per-user history block, shared by both tasks. The first call from
+  /// any thread fills the table for every user; later calls read it.
+  const Vec& UserHistoryBlock(NodeId user) const;
   size_t HistoryBlockDim() const;
 
-  /// Doc2Vec topical relatedness of user to hashtag (Section IV-B).
+  /// Doc2Vec topical relatedness of user to hashtag (Section IV-B). The
+  /// first call infers the Doc2Vec embedding of every user's recent
+  /// history; only hate generation pays that cost.
   double TopicRelatedness(NodeId user, size_t hashtag) const;
 
   const FeatureConfig& config() const { return config_; }
   const datagen::SyntheticWorld& world() const { return *world_; }
   const text::Doc2Vec& doc2vec() const { return doc2vec_; }
 
-  /// Re-derives per-user caches with a different history size (Figure 7's
-  /// history ablation). Cheap relative to Build.
+  /// Switches to a different history size (Figure 7's history ablation):
+  /// drops both per-user tables, which refill on their next read. Not
+  /// safe to call while other threads read the extractor.
   void SetHistorySize(size_t history_size);
 
  private:
   FeatureExtractor() = default;
 
-  void RebuildUserCaches();
+  /// One row per user, filled for every user by the first Get. Held by
+  /// unique_ptr because std::once_flag cannot move and the extractor is
+  /// moved through Result<FeatureExtractor>.
+  struct LazyUserTable {
+    std::once_flag once;
+    std::vector<Vec> rows;
+
+    template <typename RowFn>
+    const std::vector<Vec>& Get(size_t num_users, RowFn row) {
+      std::call_once(once, [&] {
+        rows.reserve(num_users);
+        for (NodeId u = 0; u < num_users; ++u) rows.push_back(row(u));
+      });
+      return rows;
+    }
+  };
+
+  const std::vector<Vec>& HistoryBlocks() const;
+  const std::vector<Vec>& UserEmbeddings() const;
 
   FeatureConfig config_;
   const datagen::SyntheticWorld* world_ = nullptr;
@@ -201,9 +220,13 @@ class FeatureExtractor {
   /// Noisy (machine-annotated) view of history hate labels, per user.
   std::vector<std::vector<bool>> history_machine_labels_;
 
-  std::vector<Vec> history_blocks_;     // per user
-  std::vector<Vec> user_embeddings_;    // per user: Doc2Vec of recent history
-  std::vector<Vec> news_embeddings_;    // per article
+  /// Read by RetweetUserFeatures, HateGenFeatures and UserHistoryBlock.
+  std::unique_ptr<LazyUserTable> history_block_table_ =
+      std::make_unique<LazyUserTable>();
+  /// Doc2Vec of each user's recent history; read only by TopicRelatedness.
+  std::unique_ptr<LazyUserTable> user_embedding_table_ =
+      std::make_unique<LazyUserTable>();
+  std::vector<Vec> news_embeddings_;  // per article
 
   /// std::shared_mutex with move semantics: a move constructs a fresh
   /// unlocked mutex. Safe because the extractor is only moved during
@@ -222,13 +245,13 @@ class FeatureExtractor {
     mutable std::shared_mutex mu_;
   };
 
-  /// Memoized per-(hour bucket, window) news tf-idf averages. The values
-  /// are pure functions of the key, so the lock only protects the map
-  /// structure, not determinism: the read-mostly steady state (every
-  /// bucket computed once, then looked up by every candidate) takes the
-  /// shared lock and scales across scoring threads.
+  /// Memoized news tf-idf averages keyed by (headlines before t0,
+  /// window): that pair fixes exactly which headlines the window holds, so
+  /// each value is a pure function of its key and the lock only protects
+  /// the map structure, not determinism. The read-mostly steady state
+  /// takes the shared lock and scales across threads.
   mutable MovableSharedMutex news_tfidf_mu_;
-  mutable std::unordered_map<long, Vec> news_tfidf_cache_;  // hour bucket
+  mutable std::map<std::pair<size_t, size_t>, Vec> news_tfidf_cache_;
 };
 
 }  // namespace retina::core

@@ -146,7 +146,6 @@ Result<RetweetTask> BuildRetweetTask(const FeatureExtractor& extractor,
     ctx.content = extractor.TweetContentFeatures(tw);
     ctx.embedding = extractor.TweetEmbedding(tw);
     ctx.news_window = extractor.NewsEmbeddingWindow(tw.time);
-    ctx.news_tfidf = extractor.NewsTfIdfAverage(tw.time);
 
     // One BFS from the author, shared across candidates.
     const std::vector<int> dist =

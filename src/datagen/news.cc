@@ -21,13 +21,17 @@ double NewsStream::IntensityAt(size_t topic, double time_hours) const {
   return intensity_(topic, static_cast<size_t>(day));
 }
 
-std::vector<size_t> NewsStream::MostRecentBefore(double time_hours,
-                                                 size_t k) const {
+size_t NewsStream::CountBefore(double time_hours) const {
   // articles_ is sorted by time; find the first article at/after t.
   auto it = std::lower_bound(
       articles_.begin(), articles_.end(), time_hours,
       [](const NewsArticle& a, double t) { return a.time < t; });
-  size_t end = static_cast<size_t>(it - articles_.begin());
+  return static_cast<size_t>(it - articles_.begin());
+}
+
+std::vector<size_t> NewsStream::MostRecentBefore(double time_hours,
+                                                 size_t k) const {
+  size_t end = CountBefore(time_hours);
   std::vector<size_t> out;
   out.reserve(std::min(k, end));
   while (out.size() < k && end > 0) {

@@ -34,6 +34,9 @@ class NewsStream {
   /// Relative news intensity (1.0 = calm) for `topic` at `time_hours`.
   double IntensityAt(size_t topic, double time_hours) const;
 
+  /// Number of articles strictly before `time_hours`.
+  size_t CountBefore(double time_hours) const;
+
   /// Indices of the `k` most recent articles strictly before `time_hours`
   /// (most recent first). Fewer if the stream is younger than k.
   std::vector<size_t> MostRecentBefore(double time_hours, size_t k) const;

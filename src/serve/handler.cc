@@ -3,6 +3,7 @@
 #include <cassert>
 #include <utility>
 
+#include "common/obs.h"
 #include "core/model_store.h"
 #include "datagen/serialize.h"
 
@@ -11,20 +12,31 @@ namespace retina::serve {
 Result<std::unique_ptr<RequestHandler>> RequestHandler::Open(
     const std::string& data_dir, const std::string& model_dir,
     RequestHandlerOptions options) {
-  auto world_result = datagen::ImportWorldCsv(data_dir);
-  if (!world_result.ok()) return world_result.status();
-  auto world = std::make_unique<datagen::SyntheticWorld>(
-      std::move(world_result).ValueOrDie());
-  auto bundle_result = core::LoadScoringBundle(model_dir, *world);
-  if (!bundle_result.ok()) return bundle_result.status();
-  auto bundle = std::move(bundle_result).ValueOrDie();
+  std::unique_ptr<datagen::SyntheticWorld> world;
+  {
+    RETINA_OBS_SPAN("serve.load.world");
+    auto world_result = datagen::ImportWorldCsv(data_dir);
+    if (!world_result.ok()) return world_result.status();
+    world = std::make_unique<datagen::SyntheticWorld>(
+        std::move(world_result).ValueOrDie());
+  }
+  core::LoadedScoringBundle bundle;
+  {
+    RETINA_OBS_SPAN("serve.load.bundle");
+    auto bundle_result = core::LoadScoringBundle(model_dir, *world);
+    if (!bundle_result.ok()) return bundle_result.status();
+    bundle = std::move(bundle_result).ValueOrDie();
+  }
 
   std::unique_ptr<RequestHandler> handler(new RequestHandler());
   handler->owned_world_ = std::move(world);
   handler->owned_model_ = std::move(bundle.model);
   handler->owned_extractor_ = std::move(bundle.extractor);
-  handler->BuildEngines(handler->owned_model_.get(),
-                        handler->owned_extractor_.get(), options);
+  {
+    RETINA_OBS_SPAN("serve.load.engines");
+    handler->BuildEngines(handler->owned_model_.get(),
+                          handler->owned_extractor_.get(), options);
+  }
   return handler;
 }
 

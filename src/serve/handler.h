@@ -82,7 +82,9 @@ class RequestHandler : public Handler {
  public:
   /// Imports the world CSV from `data_dir`, loads the model bundle from
   /// `model_dir` (as written by `retina train-retweet --save-model`), and
-  /// builds the per-worker engines.
+  /// builds the per-worker engines. Each phase is an obs scope
+  /// (`serve.load.world`, `serve.load.bundle`, `serve.load.engines`), so a
+  /// daemon's --metrics-out and --trace-out show where cold start went.
   static Result<std::unique_ptr<RequestHandler>> Open(
       const std::string& data_dir, const std::string& model_dir,
       RequestHandlerOptions options = {});

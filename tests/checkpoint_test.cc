@@ -634,6 +634,42 @@ TEST(NeuralBaselineRoundTripTest, ScoresBitIdenticallyAfterReload) {
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(b[i], a[i]) << i;
 }
 
+// Every hate-generation feature group, the topic relatedness included, is
+// bit-identical between a built extractor and its SaveTo -> Restore twin:
+// the per-user tables and news memo the twin derives match the built ones.
+TEST(FeatureExtractorRoundTripTest, HateGenFeaturesBitIdenticalAfterRestore) {
+  auto& f = SharedDiffusionFixture();
+  io::Checkpoint ckpt;
+  f.extractor->SaveTo(&ckpt, "features/");
+  auto reloaded =
+      io::Checkpoint::DeserializeFromBytes(ckpt.SerializeToBytes());
+  ASSERT_TRUE(reloaded.ok());
+  auto twin_or = core::FeatureExtractor::Restore(
+      f.world, reloaded.ValueOrDie(), "features/");
+  ASSERT_TRUE(twin_or.ok()) << twin_or.status().ToString();
+  const core::FeatureExtractor& twin = twin_or.ValueOrDie();
+
+  std::vector<core::FeatureMask> masks = {core::FeatureMask::All()};
+  for (const char* group : {"history", "topic", "endogenous", "exogenous"}) {
+    masks.push_back(core::FeatureMask::Without(group));
+  }
+  const auto& tweets = f.world.tweets();
+  for (size_t i = 0; i < tweets.size(); i += 7) {
+    const datagen::Tweet& tw = tweets[i];
+    for (size_t m = 0; m < masks.size(); ++m) {
+      const Vec built = f.extractor->HateGenFeatures(tw.author, tw.hashtag,
+                                                     tw.time, masks[m]);
+      const Vec restored =
+          twin.HateGenFeatures(tw.author, tw.hashtag, tw.time, masks[m]);
+      ASSERT_EQ(restored.size(), built.size());
+      for (size_t k = 0; k < built.size(); ++k) {
+        EXPECT_EQ(restored[k], built[k])
+            << "tweet " << i << " mask " << m << " entry " << k;
+      }
+    }
+  }
+}
+
 TEST(NeuralBaselineRoundTripTest, EmbeddingRowMismatchRejected) {
   auto& f = SharedDiffusionFixture();
   io::Checkpoint ckpt;

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
+#include "common/obs.h"
 #include "core/feature_extractor.h"
 #include "core/hategen_task.h"
 #include "core/retina.h"
@@ -56,6 +59,21 @@ Fixture& SharedFixture() {
     return f;
   }();
   return *fixture;
+}
+
+// A fresh extractor over the shared world, restored from the shared one's
+// checkpoint: its per-user tables and news memo start empty.
+FeatureExtractor FreshExtractor() {
+  auto& f = SharedFixture();
+  io::Checkpoint ckpt;
+  f.extractor->SaveTo(&ckpt, "features/");
+  auto fx = FeatureExtractor::Restore(f.world, ckpt, "features/");
+  EXPECT_TRUE(fx.ok()) << fx.status().ToString();
+  return std::move(fx).ValueOrDie();
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name)->Get();
 }
 
 // --------------------------------------------------------------- Features --
@@ -134,6 +152,81 @@ TEST(FeatureExtractorTest, NewsTfIdfCachedAndStable) {
   EXPECT_EQ(a.size(), 80u);
 }
 
+TEST(FeatureExtractorTest, NewsTfIdfMemoIsOrderFreeAndNeverLooksAhead) {
+  auto& f = SharedFixture();
+  // A mid-stream headline h off the whole hour, and the instants just
+  // before and just after it: the same hour, but only the later window
+  // holds the headline (and its tf-idf average differs).
+  const auto& articles = f.world.news().articles();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double h = 0.0, before = 0.0, after = 0.0;
+  Vec before_alone, after_alone;
+  for (size_t j = articles.size() / 2; j < articles.size(); ++j) {
+    h = articles[j].time;
+    before = std::nextafter(h, -kInf);
+    after = std::nextafter(h, kInf);
+    if (std::floor(before) != std::floor(after) ||
+        f.world.news().CountBefore(before) != j) {
+      continue;
+    }
+    before_alone = FreshExtractor().NewsTfIdfAverage(before);
+    after_alone = FreshExtractor().NewsTfIdfAverage(after);
+    if (before_alone != after_alone) break;
+  }
+  ASSERT_NE(before_alone, after_alone);
+  // The headline at h is not yet published at `before`.
+  EXPECT_EQ(before_alone, FreshExtractor().NewsTfIdfAverage(h));
+
+  FeatureExtractor late_first = FreshExtractor();
+  EXPECT_EQ(late_first.NewsTfIdfAverage(after), after_alone);
+  EXPECT_EQ(late_first.NewsTfIdfAverage(before), before_alone);
+  FeatureExtractor early_first = FreshExtractor();
+  EXPECT_EQ(early_first.NewsTfIdfAverage(before), before_alone);
+  EXPECT_EQ(early_first.NewsTfIdfAverage(after), after_alone);
+
+  // Windows of 1000+ headlines get their own entries too.
+  FeatureExtractor wide = FreshExtractor();
+  const Vec narrow_next_hour = wide.NewsTfIdfAverage(h + 1.0, 20);
+  EXPECT_EQ(wide.NewsTfIdfAverage(h, 1020),
+            FreshExtractor().NewsTfIdfAverage(h, 1020));
+  EXPECT_EQ(narrow_next_hour, FreshExtractor().NewsTfIdfAverage(h + 1.0, 20));
+}
+
+TEST(FeatureExtractorTest, PerUserTablesFillOnFirstRead) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::SetEnabled(true);
+  auto& f = SharedFixture();
+  const uint64_t n_users = f.world.NumUsers();
+  const uint64_t blocks0 = CounterValue("features.history_blocks_computed");
+  const uint64_t embeds0 = CounterValue("features.user_embeddings_computed");
+
+  // Restore computes nothing per user.
+  const FeatureExtractor fx = FreshExtractor();
+  EXPECT_EQ(CounterValue("features.history_blocks_computed"), blocks0);
+  EXPECT_EQ(CounterValue("features.user_embeddings_computed"), embeds0);
+
+  // The retweet task reads history blocks (filled once) and never infers
+  // user embeddings.
+  RetweetTaskOptions opts;
+  opts.min_news = 20;
+  opts.max_candidates = 12;
+  ASSERT_TRUE(BuildRetweetTask(fx, opts).ok());
+  EXPECT_EQ(CounterValue("features.history_blocks_computed"),
+            blocks0 + n_users);
+  EXPECT_EQ(CounterValue("features.user_embeddings_computed"), embeds0);
+
+  // The first topic read infers every user's embedding; later reads infer
+  // none.
+  const auto& tw = f.world.tweets().front();
+  const double topic = fx.TopicRelatedness(tw.author, tw.hashtag);
+  EXPECT_EQ(CounterValue("features.user_embeddings_computed"),
+            embeds0 + n_users);
+  EXPECT_EQ(fx.TopicRelatedness(tw.author, tw.hashtag), topic);
+  EXPECT_EQ(f.extractor->TopicRelatedness(tw.author, tw.hashtag), topic);
+  EXPECT_EQ(CounterValue("features.history_blocks_computed"),
+            blocks0 + n_users);
+}
+
 TEST(FeatureExtractorTest, RetweetUserFeaturesPeerSignals) {
   auto& f = SharedFixture();
   const auto& tw = f.world.tweets().front();
@@ -153,16 +246,36 @@ TEST(FeatureExtractorTest, RetweetUserFeaturesPeerSignals) {
 }
 
 TEST(FeatureExtractorTest, SetHistorySizeRebuilds) {
-  // Use a private extractor: this mutates cached blocks.
+  // Use a private extractor: this drops its per-user tables.
   auto world = datagen::SyntheticWorld::Generate(TestConfig(), 57);
   auto fx = FeatureExtractor::Build(world, TestFeatureConfig());
   ASSERT_TRUE(fx.ok());
   FeatureExtractor extractor = std::move(fx).ValueOrDie();
-  const Vec before = extractor.UserHistoryBlock(3);
+  const auto topics = [&](const FeatureExtractor& e) {
+    Vec out;
+    for (size_t h = 0; h < world.hashtags().size(); ++h) {
+      out.push_back(e.TopicRelatedness(3, h));
+    }
+    return out;
+  };
+  const Vec block_before = extractor.UserHistoryBlock(3);
+  const Vec topic_before = topics(extractor);
   extractor.SetHistorySize(4);
-  const Vec after = extractor.UserHistoryBlock(3);
-  EXPECT_EQ(before.size(), after.size());
-  EXPECT_NE(before, after);
+
+  // Both tables refill, bit-identically to an extractor built with the
+  // new history size.
+  FeatureConfig config4 = TestFeatureConfig();
+  config4.history_size = 4;
+  auto fx4 = FeatureExtractor::Build(world, config4);
+  ASSERT_TRUE(fx4.ok());
+  const FeatureExtractor& built4 = fx4.ValueOrDie();
+  const Vec block_after = extractor.UserHistoryBlock(3);
+  const Vec topic_after = topics(extractor);
+  EXPECT_EQ(block_before.size(), block_after.size());
+  EXPECT_NE(block_before, block_after);
+  EXPECT_NE(topic_before, topic_after);
+  EXPECT_EQ(block_after, built4.UserHistoryBlock(3));
+  EXPECT_EQ(topic_after, topics(built4));
 }
 
 TEST(FeatureExtractorTest, NewsAlignmentFeaturesShapeAndRange) {

@@ -16,6 +16,7 @@
 #include <filesystem>
 
 #include "common/lru_cache.h"
+#include "common/obs.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/sparse_vec.h"
@@ -639,9 +640,18 @@ TEST(ScoringEngineTest, BundleFromDiskBitIdenticalToInProcessModel) {
   meta.task_seed = 43;
   ASSERT_TRUE(SaveScoringBundle(dir, *model, *f.extractor, meta).ok());
 
+  // Loading computes nothing per user: no history block, no embedding.
+  obs::Counter* blocks =
+      obs::Registry::Global().GetCounter("features.history_blocks_computed");
+  obs::Counter* embeds =
+      obs::Registry::Global().GetCounter("features.user_embeddings_computed");
+  const uint64_t blocks0 = blocks->Get();
+  const uint64_t embeds0 = embeds->Get();
   auto bundle = LoadScoringBundle(dir, f.world);
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  EXPECT_EQ(blocks->Get(), blocks0);
+  EXPECT_EQ(embeds->Get(), embeds0);
   const LoadedScoringBundle& loaded = bundle.ValueOrDie();
   EXPECT_EQ(loaded.meta.task_seed, 43u);
 

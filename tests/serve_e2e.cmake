@@ -33,6 +33,8 @@
 #     obs compiled in, a nonzero windowed handle p99);
 #   - SIGTERM drains: the daemon exits on its own, logs the drain, and
 #     writes --metrics-out, --trace-out, and --prom-out before exiting;
+#     with obs compiled in, --metrics-out times each load phase
+#     (serve.load.world / .bundle / .engines) exactly once;
 #   - the Prometheus exposition passes tools/check_prom.py, including the
 #     retina_serve_handle_ns histogram family;
 #   - report.py merges the driver's --trace-out with the daemon's and,
@@ -403,6 +405,15 @@ if(NOT OBS_COMPILED_OUT AND CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   endif()
   message(STATUS "serve metrics ok: ${serve_requests} requests, "
           "${serve_responses} responses")
+  # Cold start is attributed to its load phases, each entered once.
+  foreach(phase serve.load.world serve.load.bundle serve.load.engines)
+    string(JSON phase_count ERROR_VARIABLE json_err
+           GET "${serve_metrics_json}" scopes ${phase} count)
+    if(NOT json_err STREQUAL "NOTFOUND" OR NOT phase_count EQUAL 1)
+      message(FATAL_ERROR "serve metrics lack load phase ${phase} "
+              "(count '${phase_count}'): ${json_err}")
+    endif()
+  endforeach()
 endif()
 
 # ---- Offline telemetry tooling against the real artifacts: the

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <condition_variable>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -32,9 +33,11 @@
 #include "common/trace.h"
 #include "common/vec.h"
 #include "core/feature_extractor.h"
+#include "core/model_store.h"
 #include "core/retina.h"
 #include "core/retweet_task.h"
 #include "core/scoring_engine.h"
+#include "datagen/serialize.h"
 #include "datagen/world.h"
 #include "hatedetect/annotation.h"
 #include "serve/client.h"
@@ -829,6 +832,55 @@ TEST(RequestHandlerTest, StatsExposeDatasetShape) {
   EXPECT_EQ(stats["handler.num_tweets"], f.world.tweets().size());
   EXPECT_EQ(stats["handler.num_users"], f.world.NumUsers());
   EXPECT_EQ(stats["handler.num_workers"], 2u);
+}
+
+TEST(RequestHandlerTest, OpenTimesEachLoadPhaseAndComputesNothingPerUser) {
+  auto& f = SharedFixture();
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("retina_handler_open_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(datagen::ExportWorldCsv(f.world, dir + "/world").ok());
+  ASSERT_TRUE(core::SaveScoringBundle(dir + "/model", *f.model,
+                                      *f.extractor, {})
+                  .ok());
+
+  obs::Registry& reg = obs::Registry::Global();
+  const std::vector<std::string> phases = {
+      "serve.load.world", "serve.load.bundle", "serve.load.engines"};
+  std::vector<uint64_t> phase_counts;
+  for (const std::string& p : phases) {
+    phase_counts.push_back(reg.GetScope(p)->count.load());
+  }
+  obs::Counter* blocks = reg.GetCounter("features.history_blocks_computed");
+  obs::Counter* embeds = reg.GetCounter("features.user_embeddings_computed");
+  const uint64_t blocks0 = blocks->Get();
+  const uint64_t embeds0 = embeds->Get();
+
+  auto opened = RequestHandler::Open(dir + "/world", dir + "/model", {});
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(blocks->Get(), blocks0);
+  EXPECT_EQ(embeds->Get(), embeds0);
+  if (obs::kCompiledIn && obs::Enabled()) {
+    for (size_t i = 0; i < phases.size(); ++i) {
+      EXPECT_EQ(reg.GetScope(phases[i])->count.load(), phase_counts[i] + 1)
+          << phases[i];
+    }
+  }
+
+  // The handler that loaded lazily serves the in-process engine's bytes.
+  const auto handler = std::move(opened).ValueOrDie();
+  const auto requests = MakeRequests(f, 6, 67);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ScoreResponse resp;
+    handler->HandleScore(0, requests[i], &resp);
+    ASSERT_EQ(resp.code, ResponseCode::kOk) << resp.message;
+    ExpectBitIdentical(resp.scores, DirectScores(f, requests[i]),
+                       "req " + std::to_string(i));
+  }
 }
 
 TEST(RequestHandlerTest, CoalescedBatchIsByteIdenticalToUnbatched) {
